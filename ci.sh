@@ -32,16 +32,22 @@ MAGE_SIMSAN=1 cargo test -q --test determinism replicated_sweep
 
 echo "==> replication oracle self-check (the planted bug must trip mage-check)"
 # Mirrors the simlint fixture pattern: the skipped-backup-repair bug
-# (break_rereplication) must be caught by the replica-coverage invariant
+# (PlantedBug::Rereplication) must be caught by the replica-coverage invariant
 # and shrunk to a one-line repro; the test fails if the oracle misses it.
 cargo test -q --test check_explore broken_rereplication_is_caught_and_shrunk
+
+echo "==> perfbench build (the repo benchmark, its own workspace)"
+# perfbench/ is a separate workspace, so the stages above never compile
+# it: a change that renames or removes a pub item it uses would pass
+# every test here and still break the benchmark.
+cargo build --offline --release --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo build --examples"
 cargo build --examples
 
 echo "==> quickstart trace export (validates + writes Chrome trace_event JSON)"
 rm -f target/quickstart_trace.json
-# The example validates the export with mage_sim::trace::validate_json
+# The example parses the export with mage_sim::json::parse
 # before writing; a missing or empty file means export or validation broke.
 cargo run -q --release --example quickstart >/dev/null
 test -s target/quickstart_trace.json || {

@@ -15,7 +15,7 @@
 
 use std::path::{Path, PathBuf};
 
-use mage_bench::hotloop::{parse_scenarios, render_json, run_hotloop, validate_report};
+use mage_bench::hotloop::{render_json, run_hotloop, validate_report};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -54,8 +54,10 @@ fn main() {
     );
     let report = run_hotloop(quick);
 
-    let baseline_json = std::fs::read_to_string(&baseline_path).ok();
-    let baseline_rows = baseline_json.as_deref().map(parse_scenarios);
+    let baseline_rows = std::fs::read_to_string(&baseline_path).ok().map(|json| {
+        validate_report(&json)
+            .unwrap_or_else(|e| panic!("baseline {} is malformed: {e}", baseline_path.display()))
+    });
     // Committed output should not carry host-absolute paths.
     let baseline_label = baseline_path
         .strip_prefix(&root)
@@ -64,7 +66,6 @@ fn main() {
         .to_string();
     let baseline = baseline_rows
         .as_deref()
-        .filter(|rows| !rows.is_empty())
         .map(|rows| (baseline_label.as_str(), rows));
 
     let json = render_json(&report, baseline);

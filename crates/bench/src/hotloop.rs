@@ -16,9 +16,9 @@
 //!   (`SeqFault`, all pages remote) across the three modelled systems,
 //!   with and without eviction pressure.
 //!
-//! The emitted JSON (`schema: mage-bench-hotloop/v1`) is hand-rolled —
-//! the workspace has no serde — and parsed back by the same module for
-//! the baseline comparison and the smoke test.
+//! The emitted JSON (`schema: mage-bench-hotloop/v1`) is written and
+//! read back through [`mage_sim::json`], for the baseline comparison and
+//! the smoke test.
 
 use std::rc::Rc;
 
@@ -30,6 +30,7 @@ use std::time::Instant;
 
 use mage::{Access, FarMemory, MachineParams, SystemConfig};
 use mage_mmu::{CoreId, Topology};
+use mage_sim::json::{self, Json};
 use mage_sim::Simulation;
 use mage_workloads::runner::{run_batch, RunConfig};
 use mage_workloads::WorkloadKind;
@@ -245,16 +246,11 @@ pub fn run_hotloop(quick: bool) -> HotloopReport {
     }
 }
 
-/// Renders the report as `mage-bench-hotloop/v1` JSON. When a baseline
-/// (parsed from a previous report via [`parse_scenarios`]) is given,
-/// per-scenario speedups and their geometric mean are included.
+/// Renders the report as `mage-bench-hotloop/v1` JSON. When baseline
+/// rows (`(id, events_per_sec)`, as [`validate_report`] returns them
+/// for a previous report) are given, per-scenario speedups and their
+/// geometric mean are included.
 pub fn render_json(report: &HotloopReport, baseline: Option<(&str, &[(String, f64)])>) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    out.push_str(&format!("  \"mode\": \"{}\",\n", report.mode));
-    out.push_str(&format!("  \"repeats\": {},\n", report.repeats));
-    out.push_str("  \"scenarios\": [\n");
     let base_rate = |id: &str| -> Option<f64> {
         baseline
             .and_then(|(_, rows)| rows.iter().find(|(bid, _)| bid == id))
@@ -262,89 +258,67 @@ pub fn render_json(report: &HotloopReport, baseline: Option<(&str, &[(String, f6
             .filter(|&eps| eps > 0.0)
     };
     let mut speedups: Vec<f64> = Vec::new();
-    for (i, s) in report.scenarios.iter().enumerate() {
-        let mut line = format!(
-            "    {{\"id\": \"{}\", \"wall_ms\": {:.3}, \"virtual_ns\": {}, \"events\": {}, \"events_per_sec\": {:.1}",
-            s.id,
-            s.wall_ms,
-            s.virtual_ns,
-            s.events,
-            s.events_per_sec(),
-        );
+    let rows = report.scenarios.iter().map(|s| {
+        let mut row = vec![
+            ("id", Json::str(&s.id)),
+            ("wall_ms", Json::num(format_args!("{:.3}", s.wall_ms))),
+            ("virtual_ns", Json::num(s.virtual_ns)),
+            ("events", Json::num(s.events)),
+            ("events_per_sec", Json::num(format_args!("{:.1}", s.events_per_sec()))),
+        ];
         if let Some(base) = base_rate(&s.id) {
             let speedup = s.events_per_sec() / base;
             speedups.push(speedup);
-            line.push_str(&format!(", \"speedup_vs_baseline\": {speedup:.2}"));
+            row.push(("speedup_vs_baseline", Json::num(format_args!("{speedup:.2}"))));
         }
-        line.push('}');
-        if i + 1 < report.scenarios.len() {
-            line.push(',');
-        }
-        line.push('\n');
-        out.push_str(&line);
+        Json::object(row)
+    });
+    let mut doc = vec![
+        ("schema", Json::str(SCHEMA)),
+        ("mode", Json::str(report.mode)),
+        ("repeats", Json::num(report.repeats)),
+        ("scenarios", Json::Array(rows.collect())),
+        (
+            "total",
+            Json::object([
+                ("wall_ms", Json::num(format_args!("{:.3}", report.total_wall_ms()))),
+                ("events", Json::num(report.total_events())),
+                ("events_per_sec", Json::num(format_args!("{:.1}", report.events_per_sec()))),
+            ]),
+        ),
+    ];
+    if let Some((source, _)) = baseline.filter(|_| !speedups.is_empty()) {
+        let geomean = (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
+        doc.push(("baseline", Json::str(source)));
+        doc.push(("speedup_geomean", Json::num(format_args!("{geomean:.2}"))));
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"total\": {{\"wall_ms\": {:.3}, \"events\": {}, \"events_per_sec\": {:.1}}}",
-        report.total_wall_ms(),
-        report.total_events(),
-        report.events_per_sec(),
-    ));
-    if let Some((source, _)) = baseline {
-        if !speedups.is_empty() {
-            let geomean =
-                (speedups.iter().map(|s| s.ln()).sum::<f64>() / speedups.len() as f64).exp();
-            out.push_str(&format!(",\n  \"baseline\": \"{source}\""));
-            out.push_str(&format!(",\n  \"speedup_geomean\": {geomean:.2}"));
-        }
-    }
-    out.push_str("\n}\n");
-    out
+    Json::object(doc).render()
 }
 
-/// Extracts `(id, events_per_sec)` rows from a previously emitted
-/// report. A minimal scanner over our own stable output format — not a
-/// general JSON parser (the workspace has none by design).
-pub fn parse_scenarios(json: &str) -> Vec<(String, f64)> {
-    let mut rows = Vec::new();
-    for line in json.lines() {
-        let Some(id_at) = line.find("\"id\": \"") else {
-            continue;
-        };
-        let rest = &line[id_at + 7..];
-        let Some(id_end) = rest.find('"') else {
-            continue;
-        };
-        let id = rest[..id_end].to_string();
-        let Some(eps_at) = line.find("\"events_per_sec\": ") else {
-            continue;
-        };
-        let tail = &line[eps_at + 18..];
-        let num: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(eps) = num.parse::<f64>() {
-            rows.push((id, eps));
-        }
-    }
-    rows
-}
-
-/// Validates an emitted report: schema marker, at least one scenario,
-/// and a positive events/sec everywhere. Returns the parsed rows.
+/// Validates an emitted report and returns its `(id, events_per_sec)`
+/// rows: the schema marker, at least one scenario, every scenario field
+/// present and well-typed, and a positive events/sec everywhere.
 pub fn validate_report(json: &str) -> Result<Vec<(String, f64)>, String> {
-    if !json.contains(SCHEMA) {
+    let doc = json::parse(json)?;
+    if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         return Err(format!("missing schema marker {SCHEMA:?}"));
     }
-    let rows = parse_scenarios(json);
-    if rows.is_empty() {
+    let scenarios = doc.field("scenarios", Json::as_array)?;
+    if scenarios.is_empty() {
         return Err("no scenarios found".to_string());
     }
-    for (id, eps) in &rows {
-        if *eps <= 0.0 {
+    let mut rows = Vec::new();
+    for (i, row) in scenarios.iter().enumerate() {
+        let id = row.field("id", Json::as_str).map_err(|e| format!("scenario #{i}: {e}"))?;
+        let at = |e: String| format!("scenario {id}: {e}");
+        row.field("wall_ms", Json::as_f64).map_err(at)?;
+        row.field("virtual_ns", Json::as_u64).map_err(at)?;
+        row.field("events", Json::as_u64).map_err(at)?;
+        let eps = row.field("events_per_sec", Json::as_f64).map_err(at)?;
+        if eps <= 0.0 {
             return Err(format!("scenario {id} has non-positive events/sec {eps}"));
         }
+        rows.push((id.to_string(), eps));
     }
     Ok(rows)
 }
@@ -370,12 +344,5 @@ mod tests {
         assert!(json2.contains("\"speedup_vs_baseline\": 1.00"));
         assert!(json2.contains("\"speedup_geomean\": 1.00"));
         validate_report(&json2).expect("baselined report still validates");
-    }
-
-    #[test]
-    fn validate_rejects_garbage() {
-        assert!(validate_report("{}").is_err());
-        let bad = format!("{{\"schema\": \"{SCHEMA}\", \"scenarios\": []}}");
-        assert!(validate_report(&bad).is_err());
     }
 }

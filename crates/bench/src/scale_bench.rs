@@ -22,8 +22,8 @@
 //!   (4 PiB) address space through the replicated backend, with a local
 //!   cache small enough that evictions exercise replica tracking.
 //!
-//! The emitted JSON (`schema: mage-bench-scale/v1`) is hand-rolled and
-//! parsed back by this module for the smoke test, mirroring `hotloop`.
+//! The emitted JSON (`schema: mage-bench-scale/v1`) is written and read
+//! back through [`mage_sim::json`], like `hotloop`'s.
 
 use std::rc::Rc;
 
@@ -35,6 +35,7 @@ use std::time::Instant;
 
 use mage::{FarMemory, MachineParams, ReplicationConfig, SystemConfig};
 use mage_mmu::{CoreId, Topology};
+use mage_sim::json::{self, Json};
 use mage_sim::Simulation;
 use mage_workloads::memcached::{run_memcached, MemcachedConfig};
 use mage_workloads::runner::{run_batch, RunConfig};
@@ -245,108 +246,80 @@ pub fn run_scale(quick: bool) -> ScaleReport {
 
 /// Renders the report as `mage-bench-scale/v1` JSON.
 pub fn render_json(report: &ScaleReport) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    out.push_str(&format!("  \"mode\": \"{}\",\n", report.mode));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in report.points.iter().enumerate() {
-        let mut line = format!(
-            "    {{\"id\": \"{}\", \"capacity_pages\": {}, \"touched_pages\": {}, \"metadata_entries\": {}, \"wall_ms\": {:.3}, \"virtual_ns\": {}, \"events\": {}, \"events_per_sec\": {:.1}, \"peak_rss_kb\": {}}}",
-            p.id,
-            p.capacity_pages,
-            p.touched_pages,
-            p.metadata_entries,
-            p.wall_ms,
-            p.virtual_ns,
-            p.events,
-            p.events_per_sec(),
-            p.peak_rss_kb,
-        );
-        if i + 1 < report.points.len() {
-            line.push(',');
-        }
-        line.push('\n');
-        out.push_str(&line);
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let points = report.points.iter().map(|p| {
+        Json::object([
+            ("id", Json::str(&p.id)),
+            ("capacity_pages", Json::num(p.capacity_pages)),
+            ("touched_pages", Json::num(p.touched_pages)),
+            ("metadata_entries", Json::num(p.metadata_entries)),
+            ("wall_ms", Json::num(format_args!("{:.3}", p.wall_ms))),
+            ("virtual_ns", Json::num(p.virtual_ns)),
+            ("events", Json::num(p.events)),
+            ("events_per_sec", Json::num(format_args!("{:.1}", p.events_per_sec()))),
+            ("peak_rss_kb", Json::num(p.peak_rss_kb)),
+        ])
+    });
+    Json::object([
+        ("schema", Json::str(SCHEMA)),
+        ("mode", Json::str(report.mode)),
+        ("points", Json::Array(points.collect())),
+    ])
+    .render()
 }
 
-/// One parsed report row: `(id, capacity_pages, touched_pages,
-/// metadata_entries, events_per_sec)`.
-pub type PointRow = (String, u64, u64, u64, f64);
-
-/// Extracts [`PointRow`]s from a previously emitted report. A minimal
-/// scanner over our own stable output format, like `hotloop`'s.
-pub fn parse_points(json: &str) -> Vec<PointRow> {
-    let grab_u64 = |line: &str, key: &str| -> Option<u64> {
-        let at = line.find(key)?;
-        let tail = &line[at + key.len()..];
-        let num: String = tail.chars().take_while(|c| c.is_ascii_digit()).collect();
-        num.parse().ok()
-    };
-    let mut rows = Vec::new();
-    for line in json.lines() {
-        let Some(id_at) = line.find("\"id\": \"") else {
-            continue;
-        };
-        let rest = &line[id_at + 7..];
-        let Some(id_end) = rest.find('"') else {
-            continue;
-        };
-        let id = rest[..id_end].to_string();
-        let (Some(cap), Some(touched), Some(meta)) = (
-            grab_u64(line, "\"capacity_pages\": "),
-            grab_u64(line, "\"touched_pages\": "),
-            grab_u64(line, "\"metadata_entries\": "),
-        ) else {
-            continue;
-        };
-        let Some(eps_at) = line.find("\"events_per_sec\": ") else {
-            continue;
-        };
-        let tail = &line[eps_at + 18..];
-        let num: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(eps) = num.parse::<f64>() {
-            rows.push((id, cap, touched, meta, eps));
-        }
-    }
-    rows
-}
-
-/// Validates an emitted report: schema marker, at least one point, a
-/// positive events/sec everywhere, and — the point of the harness —
-/// metadata within [`META_SLACK`]·touched + [`META_FLOOR`] at every
-/// point. A dense O(capacity) structure anywhere fails this by orders
-/// of magnitude (capacity/touched is ≥ 2^14 at every point).
-pub fn validate_report(json: &str) -> Result<Vec<PointRow>, String> {
-    if !json.contains(SCHEMA) {
+/// Validates an emitted report and returns its points: schema marker, at
+/// least one point, every field present and well-typed, a positive
+/// events/sec everywhere, and — the point of the harness — metadata
+/// within [`META_SLACK`]·touched + [`META_FLOOR`] at every point. A
+/// dense O(capacity) structure anywhere fails this by orders of
+/// magnitude (capacity/touched is ≥ 2^14 at every point).
+pub fn validate_report(json: &str) -> Result<Vec<ScalePoint>, String> {
+    let doc = json::parse(json)?;
+    if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         return Err(format!("missing schema marker {SCHEMA:?}"));
     }
-    let rows = parse_points(json);
+    let rows = doc.field("points", Json::as_array)?;
     if rows.is_empty() {
         return Err("no scale points found".to_string());
     }
-    for (id, cap, touched, meta, eps) in &rows {
-        if *eps <= 0.0 {
-            return Err(format!("point {id} has non-positive events/sec {eps}"));
-        }
-        if touched > cap {
-            return Err(format!("point {id} touched {touched} > capacity {cap}"));
-        }
-        let bound = META_SLACK * touched + META_FLOOR;
-        if *meta > bound {
-            return Err(format!(
-                "point {id} metadata {meta} exceeds O(touched) bound {bound} \
-                 ({touched} touched of {cap} capacity): dense-metadata regression"
-            ));
-        }
+    rows.iter().enumerate().map(|(i, row)| checked_point(i, row)).collect()
+}
+
+/// Reads point `i` back, every field by name, and checks it against the
+/// schema rules; errors name the point.
+fn checked_point(i: usize, row: &Json) -> Result<ScalePoint, String> {
+    let id = row.field("id", Json::as_str).map_err(|e| format!("point #{i}: {e}"))?;
+    let at = |e: String| format!("point {id}: {e}");
+    let count = |key| row.field(key, Json::as_u64).map_err(at);
+    let (cap, touched, meta) = (
+        count("capacity_pages")?,
+        count("touched_pages")?,
+        count("metadata_entries")?,
+    );
+    let eps = row.field("events_per_sec", Json::as_f64).map_err(at)?;
+    if eps <= 0.0 {
+        return Err(format!("point {id} has non-positive events/sec {eps}"));
     }
-    Ok(rows)
+    if touched > cap {
+        return Err(format!("point {id} touched {touched} > capacity {cap}"));
+    }
+    let bound = META_SLACK.saturating_mul(touched).saturating_add(META_FLOOR);
+    if meta > bound {
+        return Err(format!(
+            "point {id} metadata {meta} exceeds O(touched) bound {bound} \
+             ({touched} touched of {cap} capacity): dense-metadata regression"
+        ));
+    }
+    Ok(ScalePoint {
+        id: id.to_string(),
+        capacity_pages: cap,
+        touched_pages: touched,
+        metadata_entries: meta,
+        wall_ms: row.field("wall_ms", Json::as_f64).map_err(at)?,
+        virtual_ns: count("virtual_ns")?,
+        events: count("events")?,
+        peak_rss_kb: count("peak_rss_kb")?,
+    })
 }
 
 #[cfg(test)]
@@ -361,31 +334,19 @@ mod tests {
         let report = run_scale(true);
         assert_eq!(report.points.len(), 4);
         let json = render_json(&report);
-        let rows = validate_report(&json).expect("fresh report validates");
-        assert_eq!(rows.len(), report.points.len());
+        let points = validate_report(&json).expect("fresh report validates");
+        assert_eq!(points.len(), report.points.len());
         // The headline capacities must survive quick mode untouched.
         let cap = |id: &str| {
-            rows.iter()
-                .find(|(rid, ..)| rid == id)
-                .map(|&(_, c, ..)| c)
+            points
+                .iter()
+                .find(|p| p.id == id)
+                .map(|p| p.capacity_pages)
                 .expect("point present")
         };
         assert_eq!(cap("memcached_1m_conn_256gib"), 1 << 26);
         assert_eq!(cap("sparse_2p40_replicated"), 1 << 40);
         assert_eq!(cap("fig5_mage_c256"), cap("fig5_mage_c128"));
-    }
-
-    #[test]
-    fn validate_rejects_dense_metadata() {
-        assert!(validate_report("{}").is_err());
-        let dense = format!(
-            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"points\": [\n    \
-             {{\"id\": \"x\", \"capacity_pages\": 1099511627776, \"touched_pages\": 1000, \
-             \"metadata_entries\": 1099511627776, \"wall_ms\": 1.0, \"virtual_ns\": 1, \
-             \"events\": 1, \"events_per_sec\": 1000.0, \"peak_rss_kb\": 1}}\n  ]\n}}\n"
-        );
-        let err = validate_report(&dense).expect_err("dense metadata must fail");
-        assert!(err.contains("dense-metadata regression"), "{err}");
     }
 
     #[test]

@@ -27,8 +27,8 @@
 use std::rc::Rc;
 
 use mage::{
-    EventSink, EvictionPolicyKind, FarMemory, MachineParams, ReplicationConfig, RetryPolicy,
-    SystemConfig,
+    EventSink, EvictionPolicyKind, FarMemory, MachineParams, PlantedBug, ReplicationConfig,
+    RetryPolicy, SystemConfig,
 };
 use mage_fabric::FaultPlan;
 use mage_mmu::{CoreId, Topology};
@@ -197,23 +197,15 @@ pub struct CheckOptions {
     /// uphold the same oracles; sweeping this knob checks each member
     /// under adversarial schedules, not just the default.
     pub eviction_policy: EvictionPolicyKind,
-    /// Test-only: resurrect the historical settlement double-count bug
-    /// (`SystemConfig::with_broken_settlement`) to prove the oracle and
-    /// shrinker catch a real defect.
-    pub break_settlement: bool,
-    /// Test-only: plant the unlocked PTE re-publish bug
-    /// (`SystemConfig::with_broken_publish`) to prove the simsan race
-    /// oracle catches an ordering defect no functional check can see.
-    pub break_publish: bool,
+    /// Test-only: plant a bug ([`PlantedBug`]) to prove the oracles and
+    /// the shrinker catch a real defect: the settlement double-count, the
+    /// unlocked PTE re-publish only simsan can see, or the skipped backup
+    /// repair (which needs `replicate` to exist at all).
+    pub planted: Option<PlantedBug>,
     /// Run every cell on a [`ReplicatedBackend`](mage::ReplicatedBackend)
     /// over two memory nodes with staggered per-node crash windows, and
     /// register the replica-state invariants.
     pub replicate: bool,
-    /// Test-only: plant the skipped-backup-repair bug
-    /// (`SystemConfig::with_broken_rereplication`) to prove the
-    /// replica-coverage invariant catches a node-kill data-loss defect.
-    /// Implies nothing unless `replicate` is set.
-    pub break_rereplication: bool,
 }
 
 impl Default for CheckOptions {
@@ -225,10 +217,8 @@ impl Default for CheckOptions {
             eviction_batch: 16,
             max_polls_per_phase: 4_000_000,
             eviction_policy: EvictionPolicyKind::SecondChance,
-            break_settlement: false,
-            break_publish: false,
+            planted: None,
             replicate: false,
-            break_rereplication: false,
         }
     }
 }
@@ -403,11 +393,8 @@ pub fn run_cell(cell: &Cell, opts: &CheckOptions) -> Result<CellReport, Violatio
         .with_eviction_batch(opts.eviction_batch)
         .with_faults(plan)
         .with_retry(retry);
-    if opts.break_settlement {
-        cfg = cfg.with_broken_settlement();
-    }
-    if opts.break_publish {
-        cfg = cfg.with_broken_publish();
+    if let Some(bug) = opts.planted {
+        cfg = cfg.with_planted_bug(bug);
     }
     if opts.replicate {
         // Two nodes with provably disjoint 30 µs crash windows per 150 µs
@@ -422,9 +409,6 @@ pub fn run_cell(cell: &Cell, opts: &CheckOptions) -> Result<CellReport, Violatio
             nodes,
             repair_poll_ns: 5_000,
         });
-        if opts.break_rereplication {
-            cfg = cfg.with_broken_rereplication();
-        }
     }
     let cores = (cell.threads + cfg.max_evictors) as u32;
 
@@ -644,7 +628,7 @@ mod tests {
     #[test]
     fn broken_settlement_is_caught() {
         let opts = CheckOptions {
-            break_settlement: true,
+            planted: Some(PlantedBug::Settlement),
             ..quick_opts()
         };
         let err = run_cell(&Cell::default(), &opts).unwrap_err();
@@ -665,7 +649,7 @@ mod tests {
     fn broken_rereplication_is_caught() {
         let opts = CheckOptions {
             replicate: true,
-            break_rereplication: true,
+            planted: Some(PlantedBug::Rereplication),
             phases: 2,
             ..quick_opts()
         };
@@ -676,7 +660,7 @@ mod tests {
     #[test]
     fn broken_publish_is_caught_as_a_data_race() {
         let opts = CheckOptions {
-            break_publish: true,
+            planted: Some(PlantedBug::Publish),
             ..quick_opts()
         };
         let err = run_cell(&Cell::default(), &opts).unwrap_err();

@@ -477,9 +477,9 @@ impl ReplicaTable {
 
     /// Degraded replicas that can be repaired right now: their home node
     /// is reachable and the page still has a Synced copy to read from.
-    /// The planted `break_rereplication` bug silently skips backup-slot
-    /// repairs — exactly the "works until the other node also blinks"
-    /// failure the ≥1-synced-replica invariant exists to catch.
+    /// The planted `PlantedBug::Rereplication` bug silently skips
+    /// backup-slot repairs — exactly the "works until the other node also
+    /// blinks" failure the ≥1-synced-replica invariant exists to catch.
     /// Repair order is part of the schedule: the scan walks tracked
     /// slots in ascending-rpn order ([`PageMap::iter_sorted`]) — the
     /// same order the old dense vector's index walk produced — so the

@@ -208,31 +208,47 @@ pub struct SystemConfig {
     pub retry: RetryPolicy,
     /// Service-time model.
     pub costs: CostModel,
-    /// Test-only fault: resurrect the historical finalize-batch counting
-    /// bug (evicted pages double-counted), violating the settlement
-    /// identity `evicted + sync + cancelled + requeued ≤ unmapped`. Used
-    /// by the mage-check harness to prove its oracle catches and shrinks
-    /// a real, historically observed bug class. Never set in presets.
+    /// Test-only: a deliberately planted bug ([`PlantedBug`]) that the
+    /// oracle self-checks must catch. `None` in every preset.
     #[doc(hidden)]
-    pub break_settlement: bool,
-    /// Test-only fault: after a reclaim batch is finalized (PTEs
-    /// unlocked, waiters woken), redundantly re-publish the settled PTE
-    /// words *without* holding their lock bits. The rewritten values are
-    /// identical, so no functional test can see it — but the unlocked
-    /// writes race with the next faulter's install or the next unmap of
-    /// the same page. Used by the simsan tests to prove the race
-    /// detector catches an ordering bug end-to-end. Never set in
-    /// presets.
-    #[doc(hidden)]
-    pub break_publish: bool,
-    /// Test-only fault: the background repair task silently skips
-    /// backup-slot replicas, so a page degraded on its backup node is
-    /// never re-replicated — invisible until the *primary's* node also
-    /// crashes, at which point the page has no synced copy left. Used by
-    /// the mage-check harness to prove the ≥1-synced-replica invariant
-    /// catches and shrinks this bug class. Never set in presets.
-    #[doc(hidden)]
-    pub break_rereplication: bool,
+    pub planted: Option<PlantedBug>,
+}
+
+/// A deliberately planted, test-only bug. The mage-check and simsan
+/// self-checks enable one to prove their oracles catch and shrink a real
+/// bug class; experiments never set one.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PlantedBug {
+    /// Resurrects the historical finalize-batch counting bug (evicted
+    /// pages double-counted), violating the settlement identity
+    /// `evicted + sync + cancelled + requeued ≤ unmapped`.
+    Settlement,
+    /// After a reclaim batch is finalized (PTEs unlocked, waiters
+    /// woken), redundantly re-publishes the settled PTE words *without*
+    /// holding their lock bits. The rewritten values are identical, so
+    /// no functional test can see it — but the unlocked writes race with
+    /// the next faulter's install or the next unmap of the same page.
+    /// Only the race detector can catch it.
+    Publish,
+    /// The background repair task silently skips backup-slot replicas,
+    /// so a page degraded on its backup node is never re-replicated —
+    /// invisible until the *primary's* node also crashes, at which point
+    /// the page has no synced copy left. Inert without replication.
+    Rereplication,
+}
+
+impl PlantedBug {
+    /// Parses a `MAGE_CHECK_BREAK` value: `settlement` (or the
+    /// historical `1`), `publish` or `rereplication`.
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "settlement" | "1" => Some(PlantedBug::Settlement),
+            "publish" => Some(PlantedBug::Publish),
+            "rereplication" => Some(PlantedBug::Rereplication),
+            _ => None,
+        }
+    }
 }
 
 impl SystemConfig {
@@ -259,9 +275,7 @@ impl SystemConfig {
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
             replication: None,
-            break_settlement: false,
-            break_publish: false,
-            break_rereplication: false,
+            planted: None,
             retry: RetryPolicy::default(),
             costs: CostModel::new(OsProfile::unikernel(), true),
         }
@@ -294,9 +308,7 @@ impl SystemConfig {
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
             replication: None,
-            break_settlement: false,
-            break_publish: false,
-            break_rereplication: false,
+            planted: None,
             retry: RetryPolicy::default(),
             costs: CostModel::new(OsProfile::mage_lnx(), true),
         }
@@ -326,9 +338,7 @@ impl SystemConfig {
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
             replication: None,
-            break_settlement: false,
-            break_publish: false,
-            break_rereplication: false,
+            planted: None,
             retry: RetryPolicy::default(),
             costs: CostModel::new(OsProfile::linux_bare_metal(), false),
         }
@@ -359,9 +369,7 @@ impl SystemConfig {
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
             replication: None,
-            break_settlement: false,
-            break_publish: false,
-            break_rereplication: false,
+            planted: None,
             retry: RetryPolicy::default(),
             costs: CostModel::new(OsProfile::unikernel(), true),
         }
@@ -393,9 +401,7 @@ impl SystemConfig {
             faults: FaultPlan::none(),
             node_faults: Vec::new(),
             replication: None,
-            break_settlement: false,
-            break_publish: false,
-            break_rereplication: false,
+            planted: None,
             retry: RetryPolicy::default(),
             costs: CostModel::ideal(),
         }
@@ -461,30 +467,11 @@ impl SystemConfig {
         self
     }
 
-    /// Test-only: deliberately breaks the settlement-identity accounting
-    /// (see [`SystemConfig::break_settlement`]). For the mage-check
-    /// oracle tests; never use in experiments.
+    /// Test-only: plants `bug` (see [`PlantedBug`]). For the oracle
+    /// self-checks; never use in experiments.
     #[doc(hidden)]
-    pub fn with_broken_settlement(mut self) -> Self {
-        self.break_settlement = true;
-        self
-    }
-
-    /// Test-only: deliberately re-publishes settled PTEs without their
-    /// lock bits held (see [`SystemConfig::break_publish`]). For the
-    /// simsan oracle tests; never use in experiments.
-    #[doc(hidden)]
-    pub fn with_broken_publish(mut self) -> Self {
-        self.break_publish = true;
-        self
-    }
-
-    /// Test-only: deliberately skips backup-slot re-replication (see
-    /// [`SystemConfig::break_rereplication`]). For the mage-check oracle
-    /// tests; never use in experiments.
-    #[doc(hidden)]
-    pub fn with_broken_rereplication(mut self) -> Self {
-        self.break_rereplication = true;
+    pub fn with_planted_bug(mut self, bug: PlantedBug) -> Self {
+        self.planted = Some(bug);
         self
     }
 }

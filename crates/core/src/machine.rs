@@ -31,7 +31,7 @@ use mage_sim::trace::Tracer;
 use mage_sim::SimHandle;
 
 use crate::backend::{FarBackend, ReplicatedBackend};
-use crate::config::{EvictionPolicyKind, SystemConfig};
+use crate::config::{EvictionPolicyKind, PlantedBug, SystemConfig};
 use crate::events::{EventSink, EventTap, PageEvent};
 use crate::metrics::MetricsRegistry;
 use crate::prefetch::StreamDetector;
@@ -180,7 +180,7 @@ impl FarMemory {
                 sim.clone(),
                 backend,
                 replication,
-                cfg.break_rereplication,
+                cfg.planted == Some(PlantedBug::Rereplication),
             )),
             None => backend,
         };

@@ -8,6 +8,7 @@ use mage_mmu::{CoreId, FlushTicket, Pte, PAGE_SIZE};
 use mage_sim::time::{Nanos, SimTime};
 use mage_sim::trace::TRACK_WRITEBACK;
 
+use crate::config::PlantedBug;
 use crate::events::PageEvent;
 use crate::machine::FarMemory;
 use crate::reclaim::policy::PolicyProbe;
@@ -280,6 +281,7 @@ impl FarMemory {
     ) -> usize {
         let t0 = self.sim.now();
         let mut frames = Vec::with_capacity(batch.len());
+        let planted_publish = self.cfg.planted == Some(PlantedBug::Publish);
         let mut settled = Vec::new();
         for page in batch {
             // A concurrent refault may have cancelled this page's
@@ -313,20 +315,20 @@ impl FarMemory {
                 vpn: page.vpn,
                 frame: page.frame,
             });
-            if self.cfg.break_publish {
+            if planted_publish {
                 settled.push(page.vpn);
             }
             frames.push(page.frame);
         }
         self.alloc.free_batch(core.index(), &frames).await;
         self.free_waiters.wake_all();
-        // Planted bug (test-only, `break_publish`): redundantly re-publish
-        // the settled PTE words *after* dropping their lock bits and
-        // waking waiters. The rewritten values are identical, so no
-        // functional test can tell — but each `set` is an unlocked plain
-        // write that races with the next fault-in install (or unmap) of
-        // the same page. Only the race detector can see it.
-        if self.cfg.break_publish {
+        // Planted bug (test-only, `PlantedBug::Publish`): redundantly
+        // re-publish the settled PTE words *after* dropping their lock
+        // bits and waking waiters. The rewritten values are identical, so
+        // no functional test can tell — but each `set` is an unlocked
+        // plain write that races with the next fault-in install (or
+        // unmap) of the same page. Only the race detector can see it.
+        if planted_publish {
             for &vpn in &settled {
                 self.pt.set(vpn, self.pt.get(vpn));
             }
@@ -334,10 +336,10 @@ impl FarMemory {
         self.stats.eviction_batches.inc();
         // Count only frames actually reclaimed: pages cancelled mid-batch
         // by a refault are accounted under `evict_cancelled_pages`, never
-        // under the evicted counters. `break_settlement` resurrects the
-        // historical double-count (a deliberate, test-only bug for the
+        // under the evicted counters. `PlantedBug::Settlement` resurrects
+        // the historical double-count (a deliberate, test-only bug for the
         // mage-check oracle to catch).
-        let counted = if self.cfg.break_settlement {
+        let counted = if self.cfg.planted == Some(PlantedBug::Settlement) {
             2 * frames.len() as u64
         } else {
             frames.len() as u64

@@ -14,6 +14,8 @@
 //!   support for measurement windows,
 //! - a **virtual-time tracer** recording structured spans into per-track
 //!   ring buffers, exportable as Chrome `trace_event` JSON ([`trace`]),
+//! - the workspace's one **JSON codec** ([`json`]): value type, parser
+//!   and report renderer,
 //! - a tiny deterministic **RNG** ([`rng::SplitMix64`]) for components that
 //!   must not depend on external crates.
 //!
@@ -38,13 +40,13 @@
 
 pub mod executor;
 pub mod explore;
+pub mod json;
 pub mod lockdep;
 pub mod race;
 pub mod rng;
 pub mod slab;
 pub mod stats;
 pub mod sync;
-pub mod sync_ext;
 pub mod time;
 pub mod trace;
 pub mod wheel;

@@ -7,8 +7,8 @@
 //! word (a PTE, a per-CPU free-list slot, …) race when neither is ordered
 //! before the other by the happens-before relation built from the
 //! sim-core primitives — `SimMutex` lock/unlock, `Semaphore`
-//! acquire/release, `WaitQueue`/`Event` wake edges, channel send/recv,
-//! executor spawn/join. A protocol bug that would corrupt state on real
+//! acquire/release, `WaitQueue`/`Event` wake edges, executor
+//! spawn/join. A protocol bug that would corrupt state on real
 //! hardware (e.g. publishing a PTE after waking its waiters) shows up
 //! here as an unordered pair even though the single-threaded simulation
 //! happens to serialize it.
@@ -427,7 +427,7 @@ impl RaceDetector {
 
     // ---- synchronization edges (crate-internal) ------------------------
 
-    /// Allocates a sync object (mutex, semaphore, queue, channel, …).
+    /// Allocates a sync object (mutex, semaphore, queue, …).
     pub(crate) fn alloc_sync(&self) -> u32 {
         let mut g = self.inner.borrow_mut();
         g.syncs.push(VClock::default());
@@ -588,7 +588,7 @@ impl RaceDetector {
 
 // ---- thread-local current detector -------------------------------------
 //
-// Handle-less primitives (WaitQueue, Event, channels) cannot reach the
+// Handle-less primitives (WaitQueue, Event) cannot reach the
 // detector through a SimHandle; the executor publishes it here for the
 // duration of each run loop. `None` outside an enabled simulation's run,
 // so a disabled simulation is never confused with a previously-enabled
@@ -599,7 +599,7 @@ thread_local! {
 }
 
 /// Runs `f` with the detector currently published by the executor (if
-/// any). Used by the handle-less primitives in `sync.rs`/`sync_ext.rs`.
+/// any). Used by the handle-less primitives in `sync.rs`.
 pub(crate) fn with_current<R>(f: impl FnOnce(&Rc<RaceDetector>) -> R) -> Option<R> {
     CURRENT.with(|c| c.borrow().as_ref().map(f))
 }

@@ -26,7 +26,7 @@
 //! ```
 //! use std::rc::Rc;
 //! use mage_sim::Simulation;
-//! use mage_sim::trace::{self, Tracer};
+//! use mage_sim::trace::Tracer;
 //!
 //! let sim = Simulation::new();
 //! let tracer = Tracer::new(sim.handle());
@@ -38,7 +38,7 @@
 //!     drop(span);
 //! });
 //! let json = tracer.to_chrome_json();
-//! trace::validate_json(&json).unwrap();
+//! mage_sim::json::parse(&json).unwrap();
 //! assert!(json.contains("\"name\":\"major\""));
 //! ```
 
@@ -46,6 +46,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
+use crate::json;
 use crate::time::Nanos;
 use crate::SimHandle;
 
@@ -218,7 +219,7 @@ impl Tracer {
             out.push_str(&format!(
                 "{{\"ph\":\"M\",\"pid\":0,\"tid\":{track},\"name\":\"thread_name\",\
                  \"args\":{{\"name\":\"{}\",\"dropped_events\":{}}}}}",
-                escape_json(&self.track_label(track)),
+                json::escape(&self.track_label(track)),
                 t.dropped
             ));
             for e in &t.ring {
@@ -226,13 +227,13 @@ impl Tracer {
                 out.push_str(&format!(
                     "{{\"ph\":\"X\",\"pid\":0,\"tid\":{track},\"cat\":\"{}\",\"name\":\"{}\",\
                      \"ts\":{},\"dur\":{}",
-                    escape_json(e.cat),
-                    escape_json(e.name),
+                    json::escape(e.cat),
+                    json::escape(e.name),
                     fmt_us(e.start_ns),
                     fmt_us(e.dur_ns),
                 ));
                 if let Some((k, v)) = e.arg {
-                    out.push_str(&format!(",\"args\":{{\"{}\":{v}}}", escape_json(k)));
+                    out.push_str(&format!(",\"args\":{{\"{}\":{v}}}", json::escape(k)));
                 }
                 out.push('}');
             }
@@ -246,19 +247,6 @@ impl Tracer {
 /// integers only (no float round-trip, so deterministic).
 fn fmt_us(ns: Nanos) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// An open interval on a tracer; records itself when dropped. Holding the
@@ -306,170 +294,6 @@ pub fn span(
     name: &'static str,
 ) -> Option<Span> {
     tracer.map(|t| t.span(track, cat, name))
-}
-
-/// Validates that `s` is a single well-formed JSON value (RFC 8259
-/// grammar; no external dependencies). Returns the byte offset of the
-/// first error.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(b, &mut pos);
-    parse_value(b, &mut pos)?;
-    skip_ws(b, &mut pos);
-    if pos != b.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        _ => Err(format!("expected a value at byte {pos}")),
-    }
-}
-
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        parse_value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {pos}"));
-    }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            if !b.get(*pos).is_some_and(u8::is_ascii_hexdigit) {
-                                return Err(format!("bad \\u escape at byte {pos}"));
-                            }
-                            *pos += 1;
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-            }
-            0x00..=0x1F => return Err(format!("raw control char at byte {pos}")),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let int_digits = eat_digits(b, pos);
-    if int_digits == 0 {
-        return Err(format!("expected digits at byte {pos}"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if eat_digits(b, pos) == 0 {
-            return Err(format!("expected fraction digits at byte {pos}"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if eat_digits(b, pos) == 0 {
-            return Err(format!("expected exponent digits at byte {pos}"));
-        }
-    }
-    debug_assert!(*pos > start);
-    Ok(())
-}
-
-fn eat_digits(b: &[u8], pos: &mut usize) -> usize {
-    let start = *pos;
-    while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-        *pos += 1;
-    }
-    *pos - start
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
 }
 
 #[cfg(test)]
@@ -528,7 +352,7 @@ mod tests {
         tracer.record(TRACK_NIC, "nic", "read", 100, 4_071, Some(("bytes", 4096)));
         tracer.name_track(1, "core 1");
         let json = tracer.to_chrome_json();
-        validate_json(&json).unwrap();
+        json::parse(&json).unwrap();
         assert!(json.contains("\"ts\":0.000"));
         assert!(json.contains("\"dur\":5.432"));
         assert!(json.contains("\"name\":\"nic\""));
@@ -538,18 +362,6 @@ mod tests {
     fn disabled_tracer_is_a_branch() {
         let none: Option<&Rc<Tracer>> = None;
         assert!(span(none, 0, "c", "n").is_none());
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        validate_json("{\"a\":[1,2.5,-3e4,true,false,null,\"s\\\"t\"]}").unwrap();
-        validate_json("  [ ]  ").unwrap();
-        assert!(validate_json("{\"a\":}").is_err());
-        assert!(validate_json("[1,]").is_err());
-        assert!(validate_json("{\"a\":1} trailing").is_err());
-        assert!(validate_json("\"unterminated").is_err());
-        assert!(validate_json("01").is_ok(), "leading zeros tolerated");
-        assert!(validate_json("{1:2}").is_err(), "keys must be strings");
     }
 
     #[test]

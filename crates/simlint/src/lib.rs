@@ -20,7 +20,7 @@
 //! | `host-thread` | `std::thread` | host threads race; the executor is the only scheduler |
 //! | `external-rng` | `rand::`, `thread_rng`, `from_entropy`, … | unseeded entropy breaks replay; use `mage_sim::rng::SplitMix64` |
 //! | `hash-collection` | `HashMap` / `HashSet` | iteration order varies per process (random SipHash keys); use `BTreeMap`/`BTreeSet` or sorted iteration |
-//! | `std-sync` | `std::sync::{Mutex, RwLock, …}`, atomics | host-level blocking invisible to virtual time; use `SimMutex`/`SimRwLock` |
+//! | `std-sync` | `std::sync::{Mutex, RwLock, …}`, atomics | host-level blocking invisible to virtual time; use `SimMutex`/`Semaphore` |
 //! | `unseeded-rng` | RNG constructors without a `seed` parameter | every stochastic component must be replayable from its seed |
 //! | `stats-registration` | stat fields missing from `MetricsRegistry::snapshot` | an unregistered counter escapes measurement windows and silently keeps warmup samples |
 //! | `hot-path` | `BTreeMap` / `BTreeSet` in `executor.rs`, `tlb.rs`, `machine.rs` | ordered maps on the per-poll/per-access/per-page paths cost pointer chases the slab refactor removed (DESIGN.md §11); use `Slab`/`PageMap`/`TimerWheel` |
@@ -115,7 +115,7 @@ impl Rule {
                 "HashMap/HashSet iteration order is randomized per process; use BTreeMap/BTreeSet or sort before iterating"
             }
             Rule::StdSync => {
-                "std::sync primitives block the host thread invisibly to virtual time; use SimMutex/SimRwLock/Semaphore"
+                "std::sync primitives block the host thread invisibly to virtual time; use SimMutex/Semaphore"
             }
             Rule::UnseededRng => {
                 "RNG constructors must take an explicit seed so every stochastic component is replayable"

@@ -15,12 +15,13 @@
 //! windows — unlike the hotloop harness there is no wall clock anywhere,
 //! so the committed report is bit-reproducible across hosts.
 //!
-//! The emitted JSON (`schema: mage-bench-policies/v1`) is hand-rolled —
-//! the workspace has no serde — and parsed back by the same module for
-//! validation and the CI smoke stage.
+//! The emitted JSON (`schema: mage-bench-policies/v1`) is written and
+//! read back through [`mage_sim::json`], for validation and the CI
+//! smoke stage.
 
 use mage::{EvictionPolicyKind, SystemConfig};
 use mage_mmu::Topology;
+use mage_sim::json::{self, Json};
 
 use crate::patterns::WorkloadKind;
 use crate::runner::{run_batch, RunConfig};
@@ -159,106 +160,88 @@ pub fn s3fifo_win_cells(cells: &[PolicyCell]) -> Vec<(&'static str, f64)> {
 
 /// Renders the cells as `mage-bench-policies/v1` JSON.
 pub fn render_json(cells: &[PolicyCell], quick: bool) -> String {
-    let mut out = String::with_capacity(8192);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-    out.push_str(&format!(
-        "  \"mode\": \"{}\",\n",
-        if quick { "quick" } else { "full" }
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let mut line = format!(
-            "    {{\"policy\": \"{}\", \"workload\": \"{}\", \"local_frac\": {:.2}, \
-             \"mops\": {:.4}, \"major_faults\": {}, \"re_faults\": {}, \
-             \"ghost_hits\": {}, \"re_fault_rate\": {:.6}, \"fault_p99_ns\": {}}}",
-            c.policy,
-            c.workload,
-            c.local_frac,
-            c.mops,
-            c.major_faults,
-            c.re_faults,
-            c.ghost_hits,
-            c.re_fault_rate,
-            c.fault_p99_ns,
-        );
-        if i + 1 < cells.len() {
-            line.push(',');
-        }
-        line.push('\n');
-        out.push_str(&line);
-    }
-    out.push_str("  ],\n");
-    let wins = s3fifo_win_cells(cells);
-    out.push_str("  \"s3fifo_refault_wins\": [\n");
-    for (i, (w, frac)) in wins.iter().enumerate() {
-        let mut line = format!("    {{\"workload\": \"{w}\", \"local_frac\": {frac:.2}}}");
-        if i + 1 < wins.len() {
-            line.push(',');
-        }
-        line.push('\n');
-        out.push_str(&line);
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let frac = |f: f64| Json::num(format_args!("{f:.2}"));
+    let rows = cells.iter().map(|c| {
+        Json::object([
+            ("policy", Json::str(c.policy)),
+            ("workload", Json::str(c.workload)),
+            ("local_frac", frac(c.local_frac)),
+            ("mops", Json::num(format_args!("{:.4}", c.mops))),
+            ("major_faults", Json::num(c.major_faults)),
+            ("re_faults", Json::num(c.re_faults)),
+            ("ghost_hits", Json::num(c.ghost_hits)),
+            ("re_fault_rate", Json::num(format_args!("{:.6}", c.re_fault_rate))),
+            ("fault_p99_ns", Json::num(c.fault_p99_ns)),
+        ])
+    });
+    let wins = s3fifo_win_cells(cells)
+        .into_iter()
+        .map(|(w, f)| Json::object([("workload", Json::str(w)), ("local_frac", frac(f))]));
+    Json::object([
+        ("schema", Json::str(SCHEMA)),
+        ("mode", Json::str(if quick { "quick" } else { "full" })),
+        ("cells", Json::Array(rows.collect())),
+        ("s3fifo_refault_wins", Json::Array(wins.collect())),
+    ])
+    .render()
 }
 
-/// Extracts `(policy, workload, local_frac, re_fault_rate)` rows from a
-/// previously emitted report. A minimal scanner over our own stable
-/// output format — not a general JSON parser.
-pub fn parse_cells(json: &str) -> Vec<(String, String, f64, f64)> {
-    fn str_field(line: &str, key: &str) -> Option<String> {
-        let tag = format!("\"{key}\": \"");
-        let at = line.find(&tag)?;
-        let rest = &line[at + tag.len()..];
-        Some(rest[..rest.find('"')?].to_string())
-    }
-    fn num_field(line: &str, key: &str) -> Option<f64> {
-        let tag = format!("\"{key}\": ");
-        let at = line.find(&tag)?;
-        let tail = &line[at + tag.len()..];
-        let num: String = tail
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        num.parse().ok()
-    }
-    let mut rows = Vec::new();
-    for line in json.lines() {
-        let (Some(policy), Some(workload), Some(frac), Some(rate)) = (
-            str_field(line, "policy"),
-            str_field(line, "workload"),
-            num_field(line, "local_frac"),
-            num_field(line, "re_fault_rate"),
-        ) else {
-            continue;
-        };
-        rows.push((policy, workload, frac, rate));
-    }
-    rows
+/// Reads cell `i` back, every field by name; errors name the cell.
+/// Policy and workload must be members of the swept cube.
+fn cell_from_json(i: usize, row: &Json) -> Result<PolicyCell, String> {
+    let text = |key| row.get(key).and_then(Json::as_str).unwrap_or("?");
+    let id = format!("cell #{i} ({}, {})", text("policy"), text("workload"));
+    let at = |e: String| format!("{id}: {e}");
+    let pick = |key, names: Vec<&'static str>| -> Result<&'static str, String> {
+        let name = row.field(key, Json::as_str).map_err(at)?;
+        names
+            .into_iter()
+            .find(|n| *n == name)
+            .ok_or_else(|| at(format!("{key} {name:?} is not swept")))
+    };
+    let count = |key| row.field(key, Json::as_u64).map_err(at);
+    let real = |key| row.field(key, Json::as_f64).map_err(at);
+    Ok(PolicyCell {
+        policy: pick("policy", policies().iter().map(|p| p.name()).collect())?,
+        workload: pick("workload", workloads().map(workload_name).to_vec())?,
+        local_frac: real("local_frac")?,
+        mops: real("mops")?,
+        major_faults: count("major_faults")?,
+        re_faults: count("re_faults")?,
+        ghost_hits: count("ghost_hits")?,
+        re_fault_rate: real("re_fault_rate")?,
+        fault_p99_ns: count("fault_p99_ns")?,
+    })
 }
 
-/// Validates an emitted report: schema marker, a complete cube (every
+/// Validates an emitted report and returns its cells: schema marker,
+/// every cell field present and well-typed, a complete cube (every
 /// policy × workload × fraction cell present exactly once) and sane
-/// rates. Returns the parsed rows.
-pub fn validate_report(json: &str) -> Result<Vec<(String, String, f64, f64)>, String> {
-    if !json.contains(SCHEMA) {
+/// rates.
+pub fn validate_report(json: &str) -> Result<Vec<PolicyCell>, String> {
+    let doc = json::parse(json)?;
+    if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         return Err(format!("missing schema marker {SCHEMA:?}"));
     }
-    let rows = parse_cells(json);
+    let cells = doc
+        .field("cells", Json::as_array)?
+        .iter()
+        .enumerate()
+        .map(|(i, row)| cell_from_json(i, row))
+        .collect::<Result<Vec<_>, _>>()?;
     let expected = policies().len() * workloads().len() * LOCAL_FRACTIONS.len();
-    if rows.len() != expected {
-        return Err(format!("expected {expected} cells, found {}", rows.len()));
+    if cells.len() != expected {
+        return Err(format!("expected {expected} cells, found {}", cells.len()));
     }
     for policy in policies() {
         for kind in workloads() {
             for &frac in &LOCAL_FRACTIONS {
-                let hits = rows
+                let hits = cells
                     .iter()
-                    .filter(|(p, w, f, _)| {
-                        p == policy.name()
-                            && w == workload_name(kind)
-                            && (f - frac).abs() < 1e-9
+                    .filter(|c| {
+                        c.policy == policy.name()
+                            && c.workload == workload_name(kind)
+                            && (c.local_frac - frac).abs() < 1e-9
                     })
                     .count();
                 if hits != 1 {
@@ -271,14 +254,15 @@ pub fn validate_report(json: &str) -> Result<Vec<(String, String, f64, f64)>, St
             }
         }
     }
-    for (policy, workload, frac, rate) in &rows {
-        if !(0.0..=1.0).contains(rate) {
+    for c in &cells {
+        if !(0.0..=1.0).contains(&c.re_fault_rate) {
             return Err(format!(
-                "cell ({policy}, {workload}, {frac}) has re-fault rate {rate} outside [0, 1]"
+                "cell ({}, {}, {}) has re-fault rate {} outside [0, 1]",
+                c.policy, c.workload, c.local_frac, c.re_fault_rate
             ));
         }
     }
-    Ok(rows)
+    Ok(cells)
 }
 
 #[cfg(test)]
@@ -332,15 +316,5 @@ mod tests {
         assert!(s3fifo_win_cells(&tie).is_empty(), "ties are not wins");
         let win = vec![mk("second-chance", 0.2), mk("s3-fifo", 0.1)];
         assert_eq!(s3fifo_win_cells(&win), vec![("gups", 0.5)]);
-    }
-
-    #[test]
-    fn validate_rejects_incomplete_cubes() {
-        assert!(validate_report("{}").is_err());
-        let one_cell = format!(
-            "{{\"schema\": \"{SCHEMA}\"}}\n    {{\"policy\": \"fifo\", \"workload\": \"gups\", \
-             \"local_frac\": 0.20, \"re_fault_rate\": 0.5}}\n"
-        );
-        assert!(validate_report(&one_cell).is_err(), "cube incomplete");
     }
 }

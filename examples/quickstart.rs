@@ -97,7 +97,7 @@ fn main() {
     // Export the virtual-time trace (fault phases, eviction stages, NIC
     // transfers, TLB shootdowns) as Chrome trace_event JSON.
     let trace = tracer.to_chrome_json();
-    validate_json(&trace).expect("trace export must be valid JSON");
+    mage_sim::json::parse(&trace).expect("trace export must be valid JSON");
     let out = "target/quickstart_trace.json";
     std::fs::write(out, &trace).expect("write trace JSON");
     println!(

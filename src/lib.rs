@@ -55,7 +55,7 @@ pub mod prelude {
     };
     pub use mage_fabric::{FaultPlan, TransferError};
     pub use mage_mmu::{CoreId, Topology};
-    pub use mage_sim::trace::{validate_json, TraceEvent, Tracer};
+    pub use mage_sim::trace::{TraceEvent, Tracer};
     pub use mage_sim::{SimHandle, Simulation};
     pub use mage_workloads::memcached::{run_memcached, MemcachedConfig, MemcachedReport};
     pub use mage_workloads::runner::{

@@ -15,6 +15,7 @@
 use std::rc::Rc;
 
 use mage_check::{explore, run_cell, Cell, CheckOptions, ExploreOutcome, PolicyKind};
+use mage_far_memory::engine::PlantedBug;
 use mage_far_memory::mmu::Topology;
 use mage_far_memory::prelude::*;
 use mage_far_memory::sim::ExplorationPolicy;
@@ -93,7 +94,7 @@ fn broken_settlement_is_caught_and_shrunk() {
         wss_pages: 256,
         local_pages: 96,
         phases: 1,
-        break_settlement: true,
+        planted: Some(PlantedBug::Settlement),
         ..CheckOptions::default()
     };
     let cells = [Cell {
@@ -151,7 +152,7 @@ fn replicated_cells_survive_exploration() {
     }
 }
 
-/// The planted skipped-backup-repair bug (`break_rereplication`) is
+/// The planted skipped-backup-repair bug (`PlantedBug::Rereplication`) is
 /// caught by the ≥1-live-replica invariant under both the deterministic
 /// Fifo schedule and SeededRandom exploration, and shrinks to a one-line
 /// repro: after a backup replica is wiped and silently never repaired,
@@ -165,7 +166,7 @@ fn broken_rereplication_is_caught_and_shrunk() {
             local_pages: 96,
             phases: 2,
             replicate: true,
-            break_rereplication: true,
+            planted: Some(PlantedBug::Rereplication),
             ..CheckOptions::default()
         };
         let cells = [Cell {
@@ -209,12 +210,12 @@ fn broken_rereplication_is_caught_and_shrunk() {
 #[test]
 fn replay_cell() {
     let cell = Cell::from_env().unwrap_or_default();
-    let broken = std::env::var("MAGE_CHECK_BREAK").ok();
+    let planted = std::env::var("MAGE_CHECK_BREAK")
+        .ok()
+        .and_then(|name| PlantedBug::parse(&name));
     let opts = CheckOptions {
-        break_settlement: matches!(broken.as_deref(), Some("1") | Some("settlement")),
-        break_publish: broken.as_deref() == Some("publish"),
-        replicate: broken.as_deref() == Some("rereplication"),
-        break_rereplication: broken.as_deref() == Some("rereplication"),
+        planted,
+        replicate: planted == Some(PlantedBug::Rereplication),
         ..CheckOptions::default()
     };
     match run_cell(&cell, &opts) {

@@ -6,7 +6,7 @@
 //!   plain PTE access);
 //! - the detector never perturbs: an enabled run produces a bit-for-bit
 //!   identical stats-and-schedule digest to a disabled one;
-//! - the planted `break_publish` bug (an unlocked PTE re-publish after
+//! - the planted `PlantedBug::Publish` bug (an unlocked PTE re-publish after
 //!   batch settlement) is caught deterministically under both the Fifo
 //!   and SeededRandom exploration policies, with a stable same-seed
 //!   report naming both access sites;
@@ -16,6 +16,7 @@
 use std::rc::Rc;
 
 use mage_check::{run_cell, shrink, Cell, CheckOptions, PolicyKind, Violation};
+use mage_far_memory::engine::PlantedBug;
 use mage_far_memory::mmu::Topology;
 use mage_far_memory::prelude::*;
 use mage_far_memory::sim::race::RaceMode;
@@ -102,7 +103,7 @@ fn racy_opts() -> CheckOptions {
         wss_pages: 192,
         local_pages: 96,
         phases: 1,
-        break_publish: true,
+        planted: Some(PlantedBug::Publish),
         ..CheckOptions::default()
     }
 }
@@ -182,7 +183,7 @@ fn panic_mode_aborts_on_the_planted_race() {
         };
         let cfg = SystemConfig::mage_lib()
             .with_eviction_batch(16)
-            .with_broken_publish();
+            .with_planted_bug(PlantedBug::Publish);
         let engine = FarMemory::launch(sim.handle(), cfg, params);
         let vma = engine.mmap(192);
         engine.populate(&vma);

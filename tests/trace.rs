@@ -92,7 +92,7 @@ fn same_seed_traces_are_bit_identical() {
     let ja = a.trace_json.expect("capture_trace produced no JSON");
     let jb = b.trace_json.expect("capture_trace produced no JSON");
     assert!(ja.contains("\"traceEvents\""));
-    validate_json(&ja).expect("trace export must be valid JSON");
+    mage_sim::json::parse(&ja).expect("trace export must be valid JSON");
     assert_eq!(ja, jb, "same-seed traces must be bit-identical");
 
     let mut cfg = traced_cfg();
