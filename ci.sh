@@ -98,6 +98,16 @@ test -s target/bench_policies_smoke.json || {
     exit 1
 }
 
+echo "==> policy cube reproduction (full mode; must match the committed BENCH_policies.json)"
+# Every cell is a fixed-seed virtual-time run, so the full cube is
+# bit-reproducible on any host: a code change that moves a cell without
+# regenerating the committed report fails here instead of going stale.
+cargo run -q --release -p mage-bench --bin policies -- --out target/bench_policies_full.json >/dev/null
+cmp target/bench_policies_full.json BENCH_policies.json || {
+    echo "error: BENCH_policies.json is stale; regenerate it with cargo run --release -p mage-bench --bin policies" >&2
+    exit 1
+}
+
 echo "==> scale smoke (terabyte-scale sparse-metadata harness, quick mode; validates BENCH_scale.json schema)"
 # Quick mode shrinks the per-point work but keeps the nominal capacities
 # at full scale (256 vcores, 2^26-page keyspace, 1M connections,

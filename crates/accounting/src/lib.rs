@@ -4,22 +4,18 @@
 //! system — both the fault-in path (inserting freshly faulted pages,
 //! `FP₃`) and the eviction path (scanning for victims, `EP₁`) hammer it,
 //! and the paper identifies contention on the system-wide LRU list as
-//! Challenge 2 (§3.3.2). This crate implements the designs the paper
-//! compares:
+//! Challenge 2 (§3.3.2). The structure is `partitions` independent
+//! probation/protected queue pairs, each behind its own lock. One
+//! partition is the system-wide list of Linux / Hermit / DiLOS; several
+//! are MAGE's partitioned lists: insertion hashes the faulting CPU id to
+//! a partition, and evictors scan partitions round-robin from staggered
+//! starting indices (§4.2.2), trading accuracy for lock locality.
 //!
-//! - [`AccountingKind::GlobalLru`] — one active/inactive LRU pair behind a
-//!   single lock (Linux / Hermit / DiLOS);
-//! - [`AccountingKind::PartitionedLru`] — MAGE's per-evictor partitioned
-//!   LRU lists: insertion hashes the faulting CPU id to a partition,
-//!   evictors scan partitions round-robin from staggered starting indices
-//!   (§4.2.2); accuracy is deliberately traded for lock locality;
-//! - [`AccountingKind::FifoQueues`] — MAGE-Lnx's low-contention FIFO
-//!   queues with no accessed-bit recheck (§5.1), trading more accuracy
-//!   for even less list manipulation.
-//!
-//! Victim hotness is judged through a caller-supplied predicate reading
-//! (and clearing) the PTE accessed bit, so this crate stays independent of
-//! the page-table representation.
+//! How the queues treat a candidate is the [`Discipline`], which the
+//! engine derives from its eviction policy. Victim hotness is judged
+//! through a caller-supplied [`VictimProbe`] reading (and clearing) the
+//! PTE accessed bit, so this crate stays independent of the page-table
+//! representation.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, VecDeque};
@@ -70,71 +66,41 @@ impl Default for AccountingCosts {
     }
 }
 
-/// Which accounting structure a system uses.
+/// How a partition's queues treat scanned candidates. Derived from the
+/// engine's eviction policy, never configured on its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AccountingKind {
-    /// System-wide active/inactive LRU behind one lock.
-    GlobalLru,
-    /// `partitions` independent LRU lists (MAGE, §4.2.2).
-    PartitionedLru {
-        /// Number of independent lists.
-        partitions: usize,
-    },
-    /// `partitions` independent FIFO queues without accessed-bit rechecks
-    /// (MAGE-Lnx, §5.1).
-    FifoQueues {
-        /// Number of independent queues.
-        partitions: usize,
-    },
-    /// Classic CLOCK (second chance): one circular queue per partition;
-    /// hot pages rotate to the tail of the *same* queue instead of being
-    /// promoted to an active list.
-    Clock {
-        /// Number of independent clocks.
-        partitions: usize,
-    },
-    /// S3-FIFO-like (SOSP '23): a small probationary queue, a main queue
-    /// and a ghost list. The paper (§4.2.2) notes S3-FIFO wants
-    /// fine-grained access frequencies that page tables cannot provide;
-    /// this implementation honestly degrades it to the one-bit accessed
-    /// signal, so its accuracy advantage largely evaporates — which is
-    /// the paper's point.
-    S3Fifo {
-        /// Number of independent instances.
-        partitions: usize,
-    },
-}
-
-impl AccountingKind {
-    /// Number of independent partitions this kind maintains.
-    pub fn partitions(&self) -> usize {
-        match *self {
-            AccountingKind::GlobalLru => 1,
-            AccountingKind::PartitionedLru { partitions }
-            | AccountingKind::FifoQueues { partitions }
-            | AccountingKind::Clock { partitions }
-            | AccountingKind::S3Fifo { partitions } => partitions.max(1),
-        }
-    }
+pub enum Discipline {
+    /// Active/inactive LRU: hot candidates move to the protected list.
+    Lru,
+    /// MAGE-Lnx's FIFO queues (§5.1): candidates are evicted in queue
+    /// order without consulting the probe or paying its per-page cost.
+    Fifo,
+    /// CLOCK: hot candidates rotate to the tail of the probation list.
+    Clock,
+    /// S3-FIFO (SOSP '23): the probation list is the small queue, the
+    /// protected list the main queue, and a ghost hit admits a page
+    /// straight to main. Paired with a one-bit-degraded frequency probe,
+    /// its accuracy advantage largely evaporates, which is the paper's
+    /// §4.2.2 point.
+    S3Fifo,
 }
 
 struct Lists {
-    /// The probationary queue. Under [`AccountingKind::S3Fifo`] this is
-    /// the *small* queue; the LRU designs use it as the inactive list.
+    /// The probationary queue: the inactive list, or S3-FIFO's small
+    /// queue.
     inactive: VecDeque<u64>,
-    /// The protected queue. Under [`AccountingKind::S3Fifo`] this is the
-    /// *main* queue; the LRU designs use it as the active list.
+    /// The protected queue: the active list, or S3-FIFO's main queue.
     active: VecDeque<u64>,
 }
 
 /// A bounded FIFO of recently evicted pages — the S3-FIFO ghost queue
-/// (SOSP '23), shared by every accounting structure as the engine's
-/// *re-fault detector*: a page that faults back in while still on the
-/// ghost list was evicted too early.
+/// (SOSP '23), kept under every discipline as the engine's *re-fault
+/// detector*: a page that faults back in while still on the ghost list
+/// was evicted too early.
 ///
-/// Under [`AccountingKind::S3Fifo`] the ghost additionally drives
-/// placement (a ghost hit admits the page straight to the main queue);
-/// under every other kind it is measurement-only, so the default paths
+/// Under [`Discipline::S3Fifo`] the ghost additionally drives placement
+/// (a ghost hit admits the page straight to the main queue); under every
+/// other discipline it is measurement-only, so the default paths
 /// keep their schedules bit-for-bit (membership updates are synchronous
 /// — no locks, no virtual time).
 ///
@@ -231,7 +197,7 @@ pub struct AccountingStats {
 /// The page-accounting structure of a running system.
 pub struct PageAccounting {
     sim: SimHandle,
-    kind: AccountingKind,
+    discipline: Discipline,
     costs: AccountingCosts,
     partitions: Vec<SimMutex<Lists>>,
     /// Engine-wide re-fault detector (see [`GhostList`]). Updated
@@ -242,13 +208,18 @@ pub struct PageAccounting {
 }
 
 impl PageAccounting {
-    /// Creates the accounting structure for `kind`.
-    pub fn new(sim: SimHandle, kind: AccountingKind, costs: AccountingCosts) -> Self {
-        let n = kind.partitions();
+    /// Creates `partitions` queue pairs (at least one) run under
+    /// `discipline`.
+    pub fn new(
+        sim: SimHandle,
+        partitions: usize,
+        discipline: Discipline,
+        costs: AccountingCosts,
+    ) -> Self {
         PageAccounting {
-            kind,
+            discipline,
             costs,
-            partitions: (0..n)
+            partitions: (0..partitions.max(1))
                 .map(|_| {
                     SimMutex::new_named(
                         sim.clone(),
@@ -267,9 +238,9 @@ impl PageAccounting {
         }
     }
 
-    /// The structure kind.
-    pub fn kind(&self) -> AccountingKind {
-        self.kind
+    /// The queue discipline.
+    pub fn discipline(&self) -> Discipline {
+        self.discipline
     }
 
     /// Number of partitions.
@@ -290,14 +261,6 @@ impl PageAccounting {
     /// Merged contention statistics across partition locks.
     pub fn lock_wait_sum_ns(&self) -> u64 {
         self.partitions.iter().map(|p| p.stats().wait().sum()).sum()
-    }
-
-    /// Total lock acquisitions across partitions.
-    pub fn lock_acquisitions(&self) -> u64 {
-        self.partitions
-            .iter()
-            .map(|p| p.stats().acquisitions())
-            .sum()
     }
 
     /// Contention statistics of partition `i`.
@@ -324,16 +287,16 @@ impl PageAccounting {
     ///
     /// `core` is the CPU of the inserting thread; it selects the target
     /// partition under the partitioned designs. The ghost check is
-    /// synchronous and happens for every kind; only
-    /// [`AccountingKind::S3Fifo`] also acts on it (a ghost hit admits the
+    /// synchronous and happens under every discipline; only
+    /// [`Discipline::S3Fifo`] also acts on it (a ghost hit admits the
     /// page straight to the main queue instead of probation), so the
-    /// other kinds keep their event schedules bit-for-bit.
+    /// other disciplines keep their event schedules bit-for-bit.
     pub async fn insert(&self, core: usize, vpn: u64) -> bool {
         let ghost_hit = self.ghost.borrow_mut().take(vpn);
         let idx = self.partition_for_insert(core);
         let mut lists = self.partitions[idx].lock().await;
         self.sim.sleep(self.costs.list_op_ns).await;
-        if ghost_hit && matches!(self.kind, AccountingKind::S3Fifo { .. }) {
+        if ghost_hit && self.discipline == Discipline::S3Fifo {
             // Ghost hit: the page was recently evicted and is back —
             // admit it straight to the main queue.
             lists.active.push_back(vpn);
@@ -352,9 +315,9 @@ impl PageAccounting {
     /// Pages are spliced off the list in batches *under* the lock (cheap
     /// pointer work, like Linux's `isolate_lru_pages`), then the
     /// accessed-bit recheck runs *off* the lock; hot pages get a second
-    /// chance and are re-added to the active list. Under
-    /// [`AccountingKind::FifoQueues`] the probe is not consulted (no
-    /// recheck — the accuracy trade of MAGE-Lnx).
+    /// chance and are re-added to the active list (to the probation tail
+    /// under [`Discipline::Clock`]). Under [`Discipline::Fifo`] the probe
+    /// is not consulted (no recheck — the accuracy trade of MAGE-Lnx).
     ///
     /// `probe` reads **and ages** the page's reference state (see
     /// [`VictimProbe`]).
@@ -367,7 +330,7 @@ impl PageAccounting {
         out: &mut Vec<u64>,
     ) {
         let n = self.partitions.len();
-        let recheck = !matches!(self.kind, AccountingKind::FifoQueues { .. });
+        let recheck = self.discipline != Discipline::Fifo;
         let before = out.len();
         let target = before + want;
         // Staggered start + round-robin over partitions (§4.2.2). Allow a
@@ -409,13 +372,14 @@ impl PageAccounting {
                 self.sim
                     .sleep(self.costs.list_op_ns + self.costs.pop_per_page_ns * hot.len() as u64)
                     .await;
-                match self.kind {
+                if self.discipline == Discipline::Clock {
                     // CLOCK rotates survivors to the tail of the same
                     // circular queue.
-                    AccountingKind::Clock { .. } => lists.inactive.extend(hot),
-                    // S3-FIFO promotes probation survivors to main; the
-                    // others use an active list.
-                    _ => lists.active.extend(hot),
+                    lists.inactive.extend(hot);
+                } else {
+                    // S3-FIFO promotes probation survivors to main; LRU
+                    // to the active list.
+                    lists.active.extend(hot);
                 }
             }
             idx = (idx + 1) % n;
@@ -516,11 +480,12 @@ mod tests {
     use mage_sim::Simulation;
     use std::rc::Rc;
 
-    fn rig(kind: AccountingKind) -> (Simulation, Rc<PageAccounting>) {
+    fn rig(partitions: usize, discipline: Discipline) -> (Simulation, Rc<PageAccounting>) {
         let sim = Simulation::new();
         let acc = Rc::new(PageAccounting::new(
             sim.handle(),
-            kind,
+            partitions,
+            discipline,
             AccountingCosts::default(),
         ));
         (sim, acc)
@@ -528,7 +493,7 @@ mod tests {
 
     #[test]
     fn insert_then_evict_fifo_order() {
-        let (sim, acc) = rig(AccountingKind::GlobalLru);
+        let (sim, acc) = rig(1, Discipline::Lru);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for vpn in 0..10 {
@@ -543,7 +508,7 @@ mod tests {
 
     #[test]
     fn hot_pages_get_second_chance() {
-        let (sim, acc) = rig(AccountingKind::GlobalLru);
+        let (sim, acc) = rig(1, Discipline::Lru);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for vpn in 0..6 {
@@ -565,7 +530,7 @@ mod tests {
 
     #[test]
     fn fifo_queues_ignore_hotness() {
-        let (sim, acc) = rig(AccountingKind::FifoQueues { partitions: 1 });
+        let (sim, acc) = rig(1, Discipline::Fifo);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for vpn in 0..4 {
@@ -580,7 +545,7 @@ mod tests {
 
     #[test]
     fn partitioned_insert_spreads_by_core() {
-        let (sim, acc) = rig(AccountingKind::PartitionedLru { partitions: 4 });
+        let (sim, acc) = rig(4, Discipline::Lru);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for core in 0..32usize {
@@ -597,7 +562,7 @@ mod tests {
 
     #[test]
     fn round_robin_scans_cover_all_partitions() {
-        let (sim, acc) = rig(AccountingKind::PartitionedLru { partitions: 4 });
+        let (sim, acc) = rig(4, Discipline::Lru);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for core in 0..64usize {
@@ -618,8 +583,8 @@ mod tests {
     fn partitioned_lru_reduces_lock_waiting() {
         // 8 inserters + 2 scanners on 1 vs 8 partitions: aggregated lock
         // wait time must drop with partitioning.
-        fn run(kind: AccountingKind) -> u64 {
-            let (sim, acc) = rig(kind);
+        fn run(partitions: usize) -> u64 {
+            let (sim, acc) = rig(partitions, Discipline::Lru);
             for core in 0..8usize {
                 let a = Rc::clone(&acc);
                 sim.spawn(async move {
@@ -640,8 +605,8 @@ mod tests {
             sim.run();
             acc.lock_wait_sum_ns()
         }
-        let global = run(AccountingKind::GlobalLru);
-        let partitioned = run(AccountingKind::PartitionedLru { partitions: 8 });
+        let global = run(1);
+        let partitioned = run(8);
         assert!(
             partitioned * 2 < global,
             "partitioned {partitioned} vs global {global}"
@@ -650,7 +615,7 @@ mod tests {
 
     #[test]
     fn clock_rotates_hot_pages_in_place() {
-        let (sim, acc) = rig(AccountingKind::Clock { partitions: 1 });
+        let (sim, acc) = rig(1, Discipline::Clock);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for vpn in 0..4 {
@@ -671,7 +636,7 @@ mod tests {
 
     #[test]
     fn s3fifo_ghost_promotes_refaulted_pages() {
-        let (sim, acc) = rig(AccountingKind::S3Fifo { partitions: 1 });
+        let (sim, acc) = rig(1, Discipline::S3Fifo);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for vpn in 0..4 {
@@ -690,10 +655,10 @@ mod tests {
     }
 
     #[test]
-    fn ghost_detects_refaults_for_every_kind() {
+    fn ghost_detects_refaults_under_every_discipline() {
         // The ghost list is measurement-only outside S3-FIFO, but the
         // re-fault signal must still fire.
-        let (sim, acc) = rig(AccountingKind::GlobalLru);
+        let (sim, acc) = rig(1, Discipline::Lru);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             for vpn in 0..4 {
@@ -706,7 +671,7 @@ mod tests {
             assert!(a.ghost_contains(0) && a.ghost_contains(1));
             assert!(a.insert(0, 0).await, "refault detected");
             assert!(!a.ghost_contains(0), "ghost hit is consumed");
-            // Placement is unchanged under non-S3-FIFO kinds: page 0 sits
+            // Placement is unchanged outside S3-FIFO: page 0 sits
             // at the probationary tail, not in the protected queue.
             let snap = a.queues_snapshot();
             assert_eq!(snap[0].0, vec![2, 3, 0]);
@@ -735,7 +700,7 @@ mod tests {
 
     #[test]
     fn remove_forgets_page() {
-        let (sim, acc) = rig(AccountingKind::GlobalLru);
+        let (sim, acc) = rig(1, Discipline::Lru);
         let a = Rc::clone(&acc);
         sim.block_on(async move {
             a.insert(0, 7).await;

@@ -8,7 +8,7 @@
 //!   linear scan: same membership, same eviction of the oldest entry,
 //!   same position refresh on re-record, and a hard capacity bound after
 //!   every step.
-//! * [`PageAccounting`] under [`AccountingKind::S3Fifo`] — a seeded
+//! * [`PageAccounting`] under [`Discipline::S3Fifo`] — a seeded
 //!   insert / take-victims / remove stream must uphold the structural
 //!   rules: the ghost list stays bounded, a ghost-hit insert lands in the
 //!   main (protected) queue and a cold insert in the small (probationary)
@@ -20,7 +20,7 @@
 
 use std::rc::Rc;
 
-use mage_accounting::{AccountingCosts, AccountingKind, GhostList, PageAccounting};
+use mage_accounting::{AccountingCosts, Discipline, GhostList, PageAccounting};
 use mage_sim::rng::SplitMix64;
 use mage_sim::Simulation;
 
@@ -111,7 +111,8 @@ fn s3fifo_accounting_upholds_queue_rules() {
         let sim = Simulation::new();
         let acc = Rc::new(PageAccounting::new(
             sim.handle(),
-            AccountingKind::S3Fifo { partitions: 2 },
+            2,
+            Discipline::S3Fifo,
             AccountingCosts::default(),
         ));
         let a = Rc::clone(&acc);

@@ -8,32 +8,33 @@
 //! accuracy advantage largely evaporates, while the partitioned designs
 //! keep their contention advantage.
 //!
-//! Columns: application throughput, major faults (lower = more accurate
-//! replacement), and total lock waiting across the accounting structure
-//! (lower = less contention).
+//! Each row is one (accounting partitions, eviction policy) pair; the
+//! policy also picks the queue discipline. Columns: application
+//! throughput, major faults (lower = more accurate replacement), and
+//! evictions cancelled by a re-fault of the page in flight.
 
-use mage::SystemConfig;
-use mage_accounting::AccountingKind;
-use mage_bench::{f1, f2, scale, Experiment};
+use mage::{EvictionPolicyKind, SystemConfig};
+use mage_bench::{f2, scale, Experiment};
 use mage_workloads::runner::{run_batch, RunConfig};
 use mage_workloads::WorkloadKind;
 
 fn main() {
-    let policies: [(&str, AccountingKind); 5] = [
-        ("GlobalLru", AccountingKind::GlobalLru),
-        ("PartLru", AccountingKind::PartitionedLru { partitions: 8 }),
-        ("Fifo", AccountingKind::FifoQueues { partitions: 8 }),
-        ("Clock", AccountingKind::Clock { partitions: 8 }),
-        ("S3Fifo", AccountingKind::S3Fifo { partitions: 8 }),
+    // (row, accounting partitions, eviction policy)
+    let policies: [(&str, usize, EvictionPolicyKind); 5] = [
+        ("GlobalLru", 1, EvictionPolicyKind::SecondChance),
+        ("PartLru", 8, EvictionPolicyKind::SecondChance),
+        ("Fifo", 8, EvictionPolicyKind::Fifo),
+        ("Clock", 8, EvictionPolicyKind::Clock),
+        ("S3Fifo", 8, EvictionPolicyKind::S3Fifo),
     ];
     let mut exp = Experiment::new(
         "ext_replacement",
         "Replacement policies on MAGE-Lib: GapBS 48T, 40% offloaded",
         &["policy", "mops", "major_faults", "evict_cancels"],
     );
-    for (name, policy) in policies {
-        let mut system = SystemConfig::mage_lib();
-        system.accounting = policy;
+    for (name, partitions, policy) in policies {
+        let mut system = SystemConfig::mage_lib().with_eviction_policy(policy);
+        system.accounting_partitions = partitions;
         let mut cfg = RunConfig::new(
             system,
             WorkloadKind::RandomGraph,
@@ -50,7 +51,6 @@ fn main() {
             r.major_faults.to_string(),
             r.evict_cancels.to_string(),
         ]);
-        let _ = f1(0.0);
     }
     exp.finish();
     println!("Expected shape: the one-bit accessed signal compresses the accuracy");

@@ -8,7 +8,6 @@
 //! ~93%, each buying additional offloadable memory under a fixed SLO.
 
 use mage::SystemConfig;
-use mage_accounting::AccountingKind;
 use mage_bench::{f2, scale, Experiment};
 use mage_workloads::runner::{run_batch, RunConfig};
 use mage_workloads::WorkloadKind;
@@ -24,7 +23,7 @@ fn steps() -> Vec<SystemConfig> {
 
     let mut partitioned = pipelined.clone();
     partitioned.name = "+LRUpart";
-    partitioned.accounting = AccountingKind::PartitionedLru { partitions: 8 };
+    partitioned.accounting_partitions = 8;
 
     let mut multilayer = partitioned.clone();
     multilayer.name = "+MultiLayer";

@@ -5,7 +5,8 @@
 //!
 //! | knob | Hermit | DiLOS | MAGE-Lib | MAGE-Lnx |
 //! |---|---|---|---|---|
-//! | accounting | global LRU | global LRU | partitioned LRU | FIFO queues |
+//! | accounting partitions | 1 (global list) | 1 (global list) | 8 | 8 |
+//! | eviction policy | second chance | second chance | second chance | FIFO (no recheck) |
 //! | local alloc | per-CPU cache | global buddy | multi-layer | multi-layer |
 //! | remote alloc | swap lock | direct map | direct map | direct map |
 //! | VMA lock | global | none | none | sharded |
@@ -15,7 +16,6 @@
 //! | prefetch | readahead | readahead | readahead | none |
 //! | virtualized | no (bare metal) | yes | yes | yes |
 
-use mage_accounting::AccountingKind;
 use mage_fabric::{FaultPlan, NicConfig};
 use mage_mmu::VmaLockModel;
 use mage_palloc::LocalAllocatorKind;
@@ -24,7 +24,7 @@ use mage_sim::SimHandle;
 
 use crate::backend::{DisaggTier, FarBackend, RdmaBackend, ReplicationConfig};
 use crate::costs::{CostModel, OsProfile};
-use crate::reclaim::{AgingClock, ApproxLru, EvictionPolicy, Fifo, S3Fifo, SecondChance};
+use crate::reclaim::{AgingClock, ApproxLru, Clock, EvictionPolicy, Fifo, S3Fifo, SecondChance};
 use crate::retry::RetryPolicy;
 
 /// Remote-slot allocation policy selector.
@@ -36,28 +36,31 @@ pub enum RemoteAllocKind {
     SwapLock,
 }
 
-/// Victim-selection policy selector (`EP₁`); see
-/// [`EvictionPolicy`].
+/// Victim-selection policy selector (`EP₁`); see [`EvictionPolicy`].
+/// The policy also picks the accounting structure's queue discipline
+/// ([`EvictionPolicy::discipline`]), so this is the system's only
+/// victim-selection choice.
 #[derive(Clone, Copy, Debug)]
 pub enum EvictionPolicyKind {
-    /// The paper's second-chance accessed-bit test (default everywhere).
+    /// The paper's second-chance accessed-bit test over active/inactive
+    /// LRU lists (default everywhere but MAGE-Lnx).
     SecondChance,
-    /// Strict FIFO: no reference recheck at the policy level.
+    /// MAGE-Lnx's FIFO queues: no accessed-bit recheck at all (§5.1).
     Fifo,
+    /// Classic CLOCK: the second-chance test, with hot pages rotated in
+    /// place instead of promoted.
+    Clock,
     /// Aging-counter CLOCK: each hit grants `hot_rounds` grace rounds.
     AgingClock {
         /// Grace rounds granted per hit (1 behaves like second chance).
         hot_rounds: u8,
     },
-    /// S3-FIFO (SOSP '23): frequency-capped filter at the policy level,
-    /// fed re-fault signals from the accounting ghost list. Selecting
-    /// this kind also switches the accounting structure to
-    /// [`AccountingKind::S3Fifo`] at launch (preserving the configured
-    /// partition count) — the small/main/ghost queues *are* the
-    /// accounting structure, so the two halves ship as a pair.
+    /// S3-FIFO (SOSP '23): a frequency-capped filter over small/main
+    /// queues, where a ghost hit admits a page straight to main and
+    /// recharges its frequency.
     S3Fifo,
     /// NFU-with-aging LRU approximation: an 8-bit age byte per page,
-    /// shifted each scan. Keeps the configured accounting structure.
+    /// shifted each scan.
     ApproxLru,
     /// A user-provided policy; `build` is called once at machine launch.
     Custom {
@@ -74,6 +77,7 @@ impl EvictionPolicyKind {
         match *self {
             EvictionPolicyKind::SecondChance => Box::new(SecondChance),
             EvictionPolicyKind::Fifo => Box::new(Fifo),
+            EvictionPolicyKind::Clock => Box::new(Clock),
             EvictionPolicyKind::AgingClock { hot_rounds } => Box::new(AgingClock::new(hot_rounds)),
             EvictionPolicyKind::S3Fifo => Box::new(S3Fifo::default()),
             EvictionPolicyKind::ApproxLru => Box::new(ApproxLru::default()),
@@ -86,6 +90,7 @@ impl EvictionPolicyKind {
         match *self {
             EvictionPolicyKind::SecondChance => "second-chance",
             EvictionPolicyKind::Fifo => "fifo",
+            EvictionPolicyKind::Clock => "clock",
             EvictionPolicyKind::AgingClock { .. } => "aging-clock",
             EvictionPolicyKind::S3Fifo => "s3-fifo",
             EvictionPolicyKind::ApproxLru => "approx-lru",
@@ -155,8 +160,10 @@ pub enum PrefetchPolicy {
 pub struct SystemConfig {
     /// Display name.
     pub name: &'static str,
-    /// Page-accounting structure (`EP₁`/`FP₃`).
-    pub accounting: AccountingKind,
+    /// Independent page-accounting lists (`EP₁`/`FP₃`): 1 is a
+    /// system-wide list behind one lock, more are MAGE's partitioned
+    /// lists (§4.2.2). Values below 1 mean 1.
+    pub accounting_partitions: usize,
     /// Local frame-allocator stack (`FP₁`).
     pub local_alloc: LocalAllocatorKind,
     /// Remote-slot policy (`EP₃`), consumed by the RDMA backend.
@@ -256,7 +263,7 @@ impl SystemConfig {
     pub fn mage_lib() -> Self {
         SystemConfig {
             name: "MageLib",
-            accounting: AccountingKind::PartitionedLru { partitions: 8 },
+            accounting_partitions: 8,
             local_alloc: LocalAllocatorKind::MultiLayer,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::SecondChance,
@@ -286,10 +293,10 @@ impl SystemConfig {
     pub fn mage_lnx() -> Self {
         SystemConfig {
             name: "MageLnx",
-            accounting: AccountingKind::FifoQueues { partitions: 8 },
+            accounting_partitions: 8,
             local_alloc: LocalAllocatorKind::MultiLayer,
             remote_alloc: RemoteAllocKind::DirectMap,
-            eviction_policy: EvictionPolicyKind::SecondChance,
+            eviction_policy: EvictionPolicyKind::Fifo,
             backend: BackendKind::Rdma,
             vma_lock: VmaLockModel::Sharded(16),
             evictors: 4,
@@ -319,7 +326,7 @@ impl SystemConfig {
     pub fn hermit() -> Self {
         SystemConfig {
             name: "Hermit",
-            accounting: AccountingKind::GlobalLru,
+            accounting_partitions: 1,
             local_alloc: LocalAllocatorKind::PcpuCache,
             remote_alloc: RemoteAllocKind::SwapLock,
             eviction_policy: EvictionPolicyKind::SecondChance,
@@ -350,7 +357,7 @@ impl SystemConfig {
     pub fn dilos() -> Self {
         SystemConfig {
             name: "DiLOS",
-            accounting: AccountingKind::GlobalLru,
+            accounting_partitions: 1,
             local_alloc: LocalAllocatorKind::GlobalBuddy,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::SecondChance,
@@ -382,7 +389,7 @@ impl SystemConfig {
             // Zero-cost partitioned LRU: the ideal system has perfect
             // (software-free) replacement, so it must keep second-chance
             // accuracy rather than FIFO's approximation.
-            accounting: AccountingKind::PartitionedLru { partitions: 8 },
+            accounting_partitions: 8,
             local_alloc: LocalAllocatorKind::MultiLayer,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::SecondChance,
@@ -498,7 +505,7 @@ mod tests {
         assert_eq!(dilos.vma_lock, VmaLockModel::None);
 
         let lnx = SystemConfig::mage_lnx();
-        assert!(matches!(lnx.accounting, AccountingKind::FifoQueues { .. }));
+        assert!(matches!(lnx.eviction_policy, EvictionPolicyKind::Fifo));
         assert!(lnx.nic.gbps() < 150.0, "Linux stack bandwidth ceiling");
         assert_eq!(lnx.prefetch, PrefetchPolicy::None);
     }

@@ -18,8 +18,8 @@ use std::cell::{Cell, RefCell};
 use mage_sim::slab::PageMap;
 use std::rc::{Rc, Weak};
 
-use mage_accounting::{AccountingKind, PageAccounting};
-use mage_fabric::{MemoryNode, Nic};
+use mage_accounting::PageAccounting;
+use mage_fabric::Nic;
 use mage_mmu::{
     AddressSpace, CoreId, InterruptController, PageTable, Pte, Tlb, Topology, Vma, PAGE_SIZE,
 };
@@ -31,7 +31,7 @@ use mage_sim::trace::Tracer;
 use mage_sim::SimHandle;
 
 use crate::backend::{FarBackend, ReplicatedBackend};
-use crate::config::{EvictionPolicyKind, PlantedBug, SystemConfig};
+use crate::config::{PlantedBug, SystemConfig};
 use crate::events::{EventSink, EventTap, PageEvent};
 use crate::metrics::MetricsRegistry;
 use crate::prefetch::StreamDetector;
@@ -157,23 +157,11 @@ pub struct FarMemory {
 impl FarMemory {
     /// Builds the machine and launches the eviction threads.
     pub fn launch(sim: SimHandle, cfg: SystemConfig, params: MachineParams) -> Rc<Self> {
-        let mut cfg = cfg;
         let topo = params.topo;
         assert!(
             params.app_threads <= topo.total_cores() as usize,
             "more app threads than cores"
         );
-        // The S3-FIFO policy is one half of a pair: its small/main/ghost
-        // queue structure lives in the accounting crate, so selecting the
-        // policy also selects the matching accounting kind (preserving
-        // whatever partition count the preset configured).
-        if matches!(cfg.eviction_policy, EvictionPolicyKind::S3Fifo)
-            && !matches!(cfg.accounting, AccountingKind::S3Fifo { .. })
-        {
-            cfg.accounting = AccountingKind::S3Fifo {
-                partitions: cfg.accounting.partitions(),
-            };
-        }
         let backend = cfg.backend.build(sim.clone(), &cfg, params.remote_pages);
         let backend: Box<dyn FarBackend> = match cfg.replication {
             Some(replication) => Box::new(ReplicatedBackend::new(
@@ -203,7 +191,8 @@ impl FarMemory {
         ));
         let acct = Rc::new(PageAccounting::new(
             sim.clone(),
-            cfg.accounting,
+            cfg.accounting_partitions,
+            policy.discipline(),
             cfg.costs.accounting.clone(),
         ));
         let asp = RefCell::new(AddressSpace::new(sim.clone(), cfg.vma_lock));
@@ -377,11 +366,6 @@ impl FarMemory {
     /// The page accounting structure.
     pub fn accounting(&self) -> &Rc<PageAccounting> {
         &self.acct
-    }
-
-    /// The far-memory node bookkeeping.
-    pub fn memory_node(&self) -> &MemoryNode {
-        self.backend.node()
     }
 
     /// Free-page low watermark (eviction trigger).

@@ -2,16 +2,19 @@
 //!
 //! A policy answers one question — *is this candidate worth keeping
 //! resident for another round?* — by testing **and aging** the page's
-//! reference state. The accounting structures decide *which* candidates
+//! reference state. The accounting structure decides *which* candidates
 //! are inspected and in what order; the policy decides their fate. The
 //! split mirrors Linux: `isolate_lru_pages` picks candidates, the
-//! reference check decides reactivation.
+//! reference check decides reactivation. The policy also names the
+//! queue [`Discipline`] the accounting structure runs under, so the
+//! policy is the system's only victim-selection choice.
 //!
-//! Implementations ship for the paper's second-chance test (default), a
-//! pure FIFO (no recheck at the policy level), an aging-counter CLOCK
-//! that grants recently-hot pages extra grace rounds, a frequency-capped
-//! [`S3Fifo`] filter fed by the accounting ghost list's re-fault signal,
-//! and an NFU/aging [`ApproxLru`] baseline. New policies are a new file
+//! Implementations ship for the paper's second-chance test (default),
+//! MAGE-Lnx's no-recheck [`Fifo`] queues, classic [`Clock`], an
+//! aging-counter CLOCK that grants recently-hot pages extra grace
+//! rounds, S3-FIFO ([`S3Fifo`]: a frequency-capped filter over
+//! small/main queues fed by the ghost list's re-fault signal), and an
+//! NFU/aging [`ApproxLru`] baseline. New policies are a new file
 //! implementing [`EvictionPolicy`] plus an
 //! [`EvictionPolicyKind::Custom`](crate::config::EvictionPolicyKind)
 //! constructor — no engine edits.
@@ -28,6 +31,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
+use mage_accounting::Discipline;
 use mage_mmu::PageTable;
 
 /// Victim-selection policy: test-and-age one eviction candidate.
@@ -48,6 +52,12 @@ pub trait EvictionPolicy {
     /// future [`test_and_age`](Self::test_and_age) decisions in its
     /// favour; the default ignores the signal.
     fn note_refault(&self, _vpn: u64) {}
+
+    /// The queue discipline the accounting structure runs under for this
+    /// policy; the default is [`Discipline::Lru`].
+    fn discipline(&self) -> Discipline {
+        Discipline::Lru
+    }
 }
 
 /// The paper's second-chance test: a page whose accessed bit is set since
@@ -66,10 +76,10 @@ impl EvictionPolicy for SecondChance {
     }
 }
 
-/// Strict FIFO: candidates are evicted in scan order with no reference
-/// recheck at all (the policy-level analogue of MAGE-Lnx's FIFO queues —
-/// usable with any accounting structure). Accessed bits are still cleared
-/// so a later switch of policy starts from aged state.
+/// MAGE-Lnx's FIFO queues (§5.1): candidates are evicted in queue order
+/// with no accessed-bit recheck, trading accuracy for less list work.
+/// Under [`Discipline::Fifo`] the accounting structure never calls the
+/// test, nor charges its per-page scan cost.
 #[derive(Default)]
 pub struct Fifo;
 
@@ -78,9 +88,32 @@ impl EvictionPolicy for Fifo {
         "fifo"
     }
 
-    fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool {
-        pt.update(vpn, |p| p.with_accessed(false));
+    fn test_and_age(&self, _pt: &PageTable, _vpn: u64) -> bool {
         false
+    }
+
+    fn discipline(&self) -> Discipline {
+        Discipline::Fifo
+    }
+}
+
+/// Classic CLOCK: the [`SecondChance`] test, but a hot page rotates to
+/// the tail of the same circular queue instead of moving to a protected
+/// list.
+#[derive(Default)]
+pub struct Clock;
+
+impl EvictionPolicy for Clock {
+    fn name(&self) -> &'static str {
+        "clock"
+    }
+
+    fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool {
+        SecondChance.test_and_age(pt, vpn)
+    }
+
+    fn discipline(&self) -> Discipline {
+        Discipline::Clock
     }
 }
 
@@ -138,9 +171,8 @@ impl EvictionPolicy for AgingClock {
 /// be: each observed hit raises a per-page frequency (capped at
 /// [`S3Fifo::FREQ_CAP`]), each cold scan decays it, and the page is
 /// evicted only at frequency zero. The queue structure itself (small /
-/// main / ghost) lives in `mage_accounting::AccountingKind::S3Fifo`;
-/// selecting [`EvictionPolicyKind::S3Fifo`](crate::config::EvictionPolicyKind)
-/// pairs the two at launch. The ghost re-fault signal arrives through
+/// main / ghost) is the accounting structure run under
+/// [`Discipline::S3Fifo`]. The ghost re-fault signal arrives through
 /// [`EvictionPolicy::note_refault`] and recharges the page to the cap —
 /// this is the "biases victim selection away from recently re-faulted
 /// pages" half of the feedback loop.
@@ -180,6 +212,10 @@ impl EvictionPolicy for S3Fifo {
             }
             None => false,
         }
+    }
+
+    fn discipline(&self) -> Discipline {
+        Discipline::S3Fifo
     }
 
     fn note_refault(&self, vpn: u64) {
@@ -246,11 +282,13 @@ mod tests {
 
     #[test]
     fn second_chance_clears_and_reports() {
-        let pt = table_with(9, true);
-        let p = SecondChance;
-        assert!(p.test_and_age(&pt, 9), "hot on first test");
-        assert!(!pt.get(9).accessed(), "bit cleared by the test");
-        assert!(!p.test_and_age(&pt, 9), "cold on second test");
+        // CLOCK runs the same test; only its queue discipline differs.
+        for p in [&SecondChance as &dyn EvictionPolicy, &Clock] {
+            let pt = table_with(9, true);
+            assert!(p.test_and_age(&pt, 9), "hot on first test");
+            assert!(!pt.get(9).accessed(), "bit cleared by the test");
+            assert!(!p.test_and_age(&pt, 9), "cold on second test");
+        }
     }
 
     #[test]
@@ -258,7 +296,6 @@ mod tests {
         let pt = table_with(9, true);
         let p = Fifo;
         assert!(!p.test_and_age(&pt, 9), "no recheck");
-        assert!(!pt.get(9).accessed(), "bit still aged");
     }
 
     #[test]

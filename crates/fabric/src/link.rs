@@ -364,22 +364,9 @@ impl Nic {
         }
     }
 
-    /// End of the outage window `node` is currently inside, if any.
-    pub fn node_outage_ends_at(&self, node: NodeId) -> Option<SimTime> {
-        self.node_injectors
-            .get(node.index())
-            .and_then(|i| i.as_ref())
-            .and_then(|inj| inj.outage_ends_at(self.sim.now()))
-    }
-
     /// The per-node fault injector of `node`, if one is configured.
     pub fn node_injector(&self, node: NodeId) -> Option<&FaultInjector> {
         self.node_injectors.get(node.index()).and_then(|i| i.as_ref())
-    }
-
-    /// Number of per-node fault plans this NIC was configured with.
-    pub fn node_plan_count(&self) -> usize {
-        self.node_injectors.len()
     }
 
     /// Current backlog (ns of queued serialization) on the read direction.

@@ -633,13 +633,6 @@ pub struct JoinHandle<T> {
     race_join: u32,
 }
 
-impl<T> JoinHandle<T> {
-    /// Returns true if the task has finished.
-    pub fn is_finished(&self) -> bool {
-        self.state.borrow().result.is_some()
-    }
-}
-
 impl<T> Future for JoinHandle<T> {
     type Output = T;
 

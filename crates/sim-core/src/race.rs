@@ -334,11 +334,6 @@ impl RaceDetector {
         std::mem::take(&mut self.inner.borrow_mut().reports)
     }
 
-    /// Logical id of the task currently executing (for tests).
-    pub fn current_task(&self) -> Lid {
-        self.inner.borrow().cur
-    }
-
     // ---- executor hooks (crate-internal) -------------------------------
 
     pub(crate) fn set_now(&self, now: Nanos) {

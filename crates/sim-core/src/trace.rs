@@ -159,11 +159,6 @@ impl Tracer {
         }
     }
 
-    /// Virtual now, in ns (for callers recording manual intervals).
-    pub fn now_ns(&self) -> Nanos {
-        self.sim.now().as_nanos()
-    }
-
     /// Total events currently buffered across all tracks.
     pub fn len(&self) -> usize {
         self.tracks.borrow().values().map(|t| t.ring.len()).sum()

@@ -205,14 +205,6 @@ impl RunReport {
         }
         self.major_faults as f64 * 1e3 / self.runtime_ns as f64
     }
-
-    /// Jobs/hour for a batch job of this runtime.
-    pub fn jobs_per_hour(&self) -> f64 {
-        if self.runtime_ns == 0 {
-            return 0.0;
-        }
-        3_600.0e9 / self.runtime_ns as f64
-    }
 }
 
 /// Runs one closed-loop batch experiment to completion.

@@ -11,7 +11,8 @@
 //! - [`mmu`] — page tables, TLBs, IPIs, address spaces,
 //! - [`palloc`] — buddy/per-CPU/multi-layer frame allocators, remote
 //!   allocators,
-//! - [`accounting`] — global/partitioned LRU and FIFO page accounting,
+//! - [`accounting`] — global or partitioned page accounting under LRU,
+//!   FIFO, CLOCK or S3-FIFO queue disciplines,
 //! - [`engine`] — the far-memory engine (fault-in + eviction paths) and
 //!   system presets (MAGE-Lib, MAGE-Lnx, Hermit, DiLOS, ideal),
 //! - [`workloads`] — the paper's applications as access-pattern
@@ -47,7 +48,7 @@ pub use mage_workloads as workloads;
 /// The most common imports for running experiments.
 pub mod prelude {
     pub use mage::{
-        Access, AgingClock, ApproxLru, BackendKind, CostModel, DisaggTier, EvictionPolicy,
+        Access, AgingClock, ApproxLru, BackendKind, Clock, CostModel, DisaggTier, EvictionPolicy,
         EvictionPolicyKind, FarBackend, FarMemory, FaultError, Fifo, IdealModel, MachineParams,
         MetricsRegistry, MetricsSnapshot, MetricsWindow, OsProfile, PrefetchPolicy, RdmaBackend,
         ReplicaState, ReplicatedBackend, ReplicationConfig, ReplicationStats, RetryPolicy, S3Fifo,

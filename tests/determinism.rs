@@ -234,6 +234,7 @@ fn every_eviction_policy_is_bit_deterministic() {
     let zoo = [
         EvictionPolicyKind::SecondChance,
         EvictionPolicyKind::Fifo,
+        EvictionPolicyKind::Clock,
         EvictionPolicyKind::AgingClock { hot_rounds: 3 },
         EvictionPolicyKind::S3Fifo,
         EvictionPolicyKind::ApproxLru,

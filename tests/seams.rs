@@ -76,6 +76,7 @@ fn every_policy_preserves_invariants() {
     let policies = [
         EvictionPolicyKind::SecondChance,
         EvictionPolicyKind::Fifo,
+        EvictionPolicyKind::Clock,
         EvictionPolicyKind::AgingClock { hot_rounds: 3 },
         EvictionPolicyKind::S3Fifo,
         EvictionPolicyKind::ApproxLru,
@@ -95,27 +96,29 @@ fn every_policy_preserves_invariants() {
     }
 }
 
-/// Selecting the S3-FIFO policy must also install the matching
-/// small/main/ghost accounting structure, preserving the preset's
-/// partition count; other policies leave the accounting untouched.
+/// The accounting structure runs under the queue discipline its policy
+/// names, with the preset's partition count: S3-FIFO gets small/main
+/// queues, MAGE-Lnx's FIFO skips the recheck, CLOCK rotates in place,
+/// and every other policy keeps LRU lists.
 #[test]
 fn s3fifo_policy_pairs_with_s3fifo_accounting() {
-    let system = SystemConfig::mage_lib().with_eviction_policy(EvictionPolicyKind::S3Fifo);
-    let (_sim, engine, _vma) = launch(system, 21);
-    assert_eq!(engine.eviction_policy().name(), "s3-fifo");
-    assert_eq!(
-        engine.accounting().kind(),
-        mage_far_memory::accounting::AccountingKind::S3Fifo { partitions: 8 },
-        "policy selection must switch the accounting structure"
-    );
+    use mage_far_memory::accounting::Discipline;
 
-    let plain = SystemConfig::mage_lib().with_eviction_policy(EvictionPolicyKind::ApproxLru);
-    let (_sim2, engine2, _vma2) = launch(plain, 21);
-    assert_eq!(
-        engine2.accounting().kind(),
-        mage_far_memory::accounting::AccountingKind::PartitionedLru { partitions: 8 },
-        "non-S3-FIFO policies keep the preset accounting"
-    );
+    let lib = |policy| SystemConfig::mage_lib().with_eviction_policy(policy);
+    let cases = [
+        (lib(EvictionPolicyKind::S3Fifo), Discipline::S3Fifo, 8),
+        (lib(EvictionPolicyKind::Clock), Discipline::Clock, 8),
+        (lib(EvictionPolicyKind::ApproxLru), Discipline::Lru, 8),
+        (SystemConfig::mage_lnx(), Discipline::Fifo, 8),
+        (SystemConfig::dilos(), Discipline::Lru, 1),
+    ];
+    for (system, discipline, partitions) in cases {
+        let policy = system.eviction_policy.name();
+        let (_sim, engine, _vma) = launch(system, 21);
+        assert_eq!(engine.eviction_policy().name(), policy);
+        assert_eq!(engine.accounting().discipline(), discipline, "{policy}");
+        assert_eq!(engine.accounting().partition_count(), partitions, "{policy}");
+    }
 }
 
 /// Same seed, same accesses: a policy swap changes *which* pages are
@@ -233,73 +236,90 @@ fn custom_backend_plugs_in() {
     assert!(engine.nic().stats().reads.get() > 0, "reads flowed through");
 }
 
-/// Zero-fault parity: with the default `FaultPlan::none()` the fault
-/// layer must be bit-invisible — these golden statistics were captured
-/// before the fault-injection layer existed, and the default
-/// configuration must still reproduce them exactly. Any drift means the
-/// clean path now consumes RNG draws, schedules extra events, or awaits
-/// differently than it used to.
+/// Pinned golden schedules. The first two rows were captured before the
+/// fault-injection layer existed: with the default `FaultPlan::none()`
+/// the fault layer must be bit-invisible, so any drift means the clean
+/// path now consumes RNG draws, schedules extra events, or awaits
+/// differently than it used to. The four preset rows pin the victim
+/// selection paths the eviction policy picks: MAGE-Lnx's no-recheck FIFO
+/// queues, DiLOS's single global list, CLOCK's in-place rotation and
+/// S3-FIFO's ghost-fed main queue.
 #[test]
 fn zero_fault_path_matches_pre_fault_layer_golden_values() {
     use mage_far_memory::workloads::runner::{run_batch, RunConfig};
     use mage_far_memory::workloads::WorkloadKind;
 
-    let mut a = RunConfig::new(SystemConfig::mage_lib(), WorkloadKind::SeqFault, 2, 2048, 0.5);
-    a.all_remote = true;
-    a.ops_per_thread = 1024;
-    a.seed = 0xA11CE;
-    let ra = run_batch(&a);
-    let got_a = (
-        ra.runtime_ns,
-        ra.total_ops,
-        ra.major_faults,
-        ra.fault_p50_ns,
-        ra.fault_p99_ns,
-        ra.evicted_pages,
-        ra.sync_evictions,
-        ra.evict_cancels,
-        ra.fault_mean_ns.to_bits(),
-    );
-    assert_eq!(
-        got_a,
-        (5_396_662, 2_048, 2_048, 5_119, 9_471, 1_964, 0, 0, 4_662_422_839_683_448_832),
-        "mage_lib/SeqFault drifted from the pre-fault-layer schedule"
-    );
+    type Golden = (u64, u64, u64, u64, u64, u64, u64, u64, u64);
+    let gups = |system: SystemConfig| {
+        let mut cfg = RunConfig::new(system, WorkloadKind::Gups, 4, 2048, 0.5);
+        cfg.ops_per_thread = 500;
+        cfg.seed = 7;
+        cfg
+    };
+    let mut seq = RunConfig::new(SystemConfig::mage_lib(), WorkloadKind::SeqFault, 2, 2048, 0.5);
+    seq.all_remote = true;
+    seq.ops_per_thread = 1024;
+    seq.seed = 0xA11CE;
 
-    let mut b = RunConfig::new(SystemConfig::hermit(), WorkloadKind::Gups, 4, 2048, 0.5);
-    b.ops_per_thread = 500;
-    b.seed = 7;
-    let rb = run_batch(&b);
-    let got_b = (
-        rb.runtime_ns,
-        rb.total_ops,
-        rb.major_faults,
-        rb.fault_p50_ns,
-        rb.fault_p99_ns,
-        rb.evicted_pages,
-        rb.sync_evictions,
-        rb.evict_cancels,
-        rb.fault_mean_ns.to_bits(),
-    );
-    assert_eq!(
-        got_b,
-        (1_110_675, 2_000, 521, 7_807, 15_359, 410, 0, 101, 4_664_748_314_519_089_569),
-        "hermit/Gups drifted from the pre-fault-layer schedule"
-    );
+    let cases: [(&str, RunConfig, Golden); 6] = [
+        (
+            "mage_lib/SeqFault",
+            seq,
+            (5_396_662, 2_048, 2_048, 5_119, 9_471, 1_964, 0, 0, 4_662_422_839_683_448_832),
+        ),
+        (
+            "hermit/Gups",
+            gups(SystemConfig::hermit()),
+            (1_110_675, 2_000, 521, 7_807, 15_359, 410, 0, 101, 4_664_748_314_519_089_569),
+        ),
+        (
+            "mage_lnx/Gups",
+            gups(SystemConfig::mage_lnx()),
+            (1_051_318, 2_000, 680, 6_271, 6_527, 608, 0, 112, 4_662_766_977_639_292_061),
+        ),
+        (
+            "dilos/Gups",
+            gups(SystemConfig::dilos()),
+            (922_965, 2_000, 536, 5_375, 11_775, 617, 0, 30, 4_662_812_068_065_735_328),
+        ),
+        (
+            "mage_lib+clock/Gups",
+            gups(SystemConfig::mage_lib().with_eviction_policy(EvictionPolicyKind::Clock)),
+            (821_888, 2_000, 629, 5_119, 5_503, 565, 0, 100, 4_661_605_543_666_718_098),
+        ),
+        (
+            "mage_lib+s3fifo/Gups",
+            gups(SystemConfig::mage_lib().with_eviction_policy(EvictionPolicyKind::S3Fifo)),
+            (818_514, 2_000, 630, 5_119, 5_503, 563, 0, 105, 4_661_570_035_473_235_916),
+        ),
+    ];
+    for (label, cfg, want) in cases {
+        let churns = cfg.kind == WorkloadKind::Gups;
+        let r = run_batch(&cfg);
+        let got = (
+            r.runtime_ns,
+            r.total_ops,
+            r.major_faults,
+            r.fault_p50_ns,
+            r.fault_p99_ns,
+            r.evicted_pages,
+            r.sync_evictions,
+            r.evict_cancels,
+            r.fault_mean_ns.to_bits(),
+        );
+        assert_eq!(got, want, "{label} drifted from its pinned schedule");
 
-    // And the fault-layer counters must read zero on a clean link.
-    assert_eq!(ra.transfer_retries + rb.transfer_retries, 0);
-    assert_eq!(ra.transfer_failures + rb.transfer_failures, 0);
-    assert_eq!(ra.aborted_faults + rb.aborted_faults, 0);
-    assert_eq!(ra.requeued_victims + rb.requeued_victims, 0);
+        // The fault-layer counters must read zero on a clean link.
+        assert_eq!(r.transfer_retries, 0, "{label}");
+        assert_eq!(r.transfer_failures, 0, "{label}");
+        assert_eq!(r.aborted_faults, 0, "{label}");
+        assert_eq!(r.requeued_victims, 0, "{label}");
 
-    // The ghost-feedback counters are measurement-only on the default
-    // path: they must flow into the report (hermit/Gups cancels 101
-    // evictions, each a ghost hit) without having moved the pinned
-    // schedules above.
-    assert!(rb.re_faults > 0, "hermit/Gups churn must observe re-faults");
-    assert!(ra.ghost_hits >= ra.re_faults, "re-faults are ghost hits");
-    assert!(rb.ghost_hits >= rb.re_faults, "re-faults are ghost hits");
+        // The ghost-feedback counters flow into the report without having
+        // moved the pinned schedules above.
+        assert!(r.ghost_hits >= r.re_faults, "{label}: re-faults are ghost hits");
+        assert!(!churns || r.re_faults > 0, "{label}: churn must observe re-faults");
+    }
 }
 
 /// A user-supplied policy plugs in through `EvictionPolicyKind::Custom`.
