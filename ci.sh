@@ -108,6 +108,13 @@ cmp target/bench_policies_full.json BENCH_policies.json || {
     exit 1
 }
 
+echo "==> hot-loop schedule check (full mode, one repeat; must match the committed BENCH_hotloop.json)"
+# Each scenario's events and virtual_ns are fixed by its seeded schedule,
+# so a change that moves the simulation (say, a speed-up that alters one
+# decision) fails here instead of leaving the committed events/sec
+# trajectory stale. The wall-clock columns are not compared.
+cargo run -q --release -p mage-bench --bin hotloop -- --verify BENCH_hotloop.json
+
 echo "==> scale smoke (terabyte-scale sparse-metadata harness, quick mode; validates BENCH_scale.json schema)"
 # Quick mode shrinks the per-point work but keeps the nominal capacities
 # at full scale (256 vcores, 2^26-page keyspace, 1M connections,

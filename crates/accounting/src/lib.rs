@@ -18,8 +18,9 @@
 //! representation.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
+use mage_sim::slab::PageMap;
 use mage_sim::stats::Counter;
 use mage_sim::sync::{LockStats, SimMutex};
 use mage_sim::time::Nanos;
@@ -104,13 +105,18 @@ struct Lists {
 /// keep their schedules bit-for-bit (membership updates are synchronous
 /// — no locks, no virtual time).
 ///
-/// Contents are mirrored in a `BTreeSet` so membership tests are
-/// `O(log n)`; the queue and the set always hold exactly the same pages.
-#[derive(Debug)]
+/// Each `record` stamps the page with a fresh sequence number: `live`
+/// maps every remembered page to its latest stamp, and `fifo` holds
+/// `(vpn, stamp)` in record order. A `fifo` entry whose stamp is no
+/// longer live (the page was taken or re-recorded since) is stale and
+/// skipped when the oldest entry falls off, so every operation is O(1)
+/// amortized; `fifo` is compacted once it exceeds twice the bound, which
+/// keeps memory O(`cap`).
 pub struct GhostList {
     cap: usize,
-    queue: VecDeque<u64>,
-    members: BTreeSet<u64>,
+    live: PageMap<u64>,
+    fifo: VecDeque<(u64, u64)>,
+    next_stamp: u64,
 }
 
 impl GhostList {
@@ -121,8 +127,9 @@ impl GhostList {
     pub fn new(cap: usize) -> Self {
         GhostList {
             cap,
-            queue: VecDeque::new(),
-            members: BTreeSet::new(),
+            live: PageMap::new(),
+            fifo: VecDeque::new(),
+            next_stamp: 0,
         }
     }
 
@@ -133,46 +140,41 @@ impl GhostList {
         if self.cap == 0 {
             return;
         }
-        if self.members.contains(&vpn) {
-            if let Some(pos) = self.queue.iter().position(|&v| v == vpn) {
-                self.queue.remove(pos);
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.live.insert(vpn, stamp);
+        self.fifo.push_back((vpn, stamp));
+        while self.live.len() > self.cap {
+            let (old, old_stamp) = self.fifo.pop_front().expect("every live page is queued");
+            if self.live.get(old) == Some(&old_stamp) {
+                self.live.remove(old);
             }
-        } else {
-            self.members.insert(vpn);
         }
-        self.queue.push_back(vpn);
-        while self.queue.len() > self.cap {
-            if let Some(old) = self.queue.pop_front() {
-                self.members.remove(&old);
-            }
+        if self.fifo.len() > 2 * self.cap {
+            let live = &self.live;
+            self.fifo.retain(|&(v, s)| live.get(v) == Some(&s));
         }
     }
 
     /// Consumes a ghost hit: removes `vpn` and reports whether it was
     /// present (i.e. whether this insert is a re-fault).
     pub fn take(&mut self, vpn: u64) -> bool {
-        if !self.members.remove(&vpn) {
-            return false;
-        }
-        if let Some(pos) = self.queue.iter().position(|&v| v == vpn) {
-            self.queue.remove(pos);
-        }
-        true
+        self.live.remove(vpn).is_some()
     }
 
     /// Whether `vpn` is currently remembered.
     pub fn contains(&self, vpn: u64) -> bool {
-        self.members.contains(&vpn)
+        self.live.contains_key(vpn)
     }
 
     /// Pages currently remembered.
     pub fn len(&self) -> usize {
-        self.queue.len()
+        self.live.len()
     }
 
     /// Whether the list is empty.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.live.is_empty()
     }
 
     /// The configured bound.

@@ -12,10 +12,17 @@
 //!   (default: `crates/bench/baseline/hotloop_baseline.json`, the
 //!   pre-slab-refactor numbers, when it exists).
 //! * `--out <path>` — output path (default: `<repo>/BENCH_hotloop.json`).
+//! * `--verify <path>` — instead of measuring, run every scenario once
+//!   and exit 1 if any scenario's `events` or `virtual_ns` differs from
+//!   the report at `path` (add `--quick` only for a quick-mode report).
+//!   Both are fixed by the seeded schedule, so this catches a change
+//!   that moves the simulation without regenerating the report.
 
 use std::path::{Path, PathBuf};
 
-use mage_bench::hotloop::{render_json, run_hotloop, validate_report};
+use mage_bench::hotloop::{
+    render_json, run_hotloop, run_suite, schedule_mismatches, validate_report,
+};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -29,6 +36,7 @@ fn main() {
     let mut quick = false;
     let mut baseline_path: Option<PathBuf> = None;
     let mut out_path: Option<PathBuf> = None;
+    let mut verify_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -37,11 +45,18 @@ fn main() {
                 baseline_path = Some(PathBuf::from(args.next().expect("--baseline needs a path")))
             }
             "--out" => out_path = Some(PathBuf::from(args.next().expect("--out needs a path"))),
+            "--verify" => {
+                verify_path = Some(PathBuf::from(args.next().expect("--verify needs a path")))
+            }
             other => {
                 eprintln!("hotloop: unknown flag {other}");
                 std::process::exit(2);
             }
         }
+    }
+    if let Some(path) = verify_path {
+        verify(&path, quick);
+        return;
     }
     let root = workspace_root();
     let baseline_path =
@@ -89,4 +104,31 @@ fn main() {
         out_path.display()
     );
     print!("{json}");
+}
+
+/// The `--verify` mode: exits 1 on any schedule difference, 2 when the
+/// report cannot be read.
+fn verify(path: &Path, quick: bool) {
+    let committed = std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|json| validate_report(&json))
+        .unwrap_or_else(|e| {
+            eprintln!("hotloop: cannot read report {}: {e}", path.display());
+            std::process::exit(2);
+        });
+    let run = run_suite(quick);
+    let mismatches = schedule_mismatches(&committed, &run);
+    if mismatches.is_empty() {
+        eprintln!(
+            "hotloop: events and virtual_ns match {} in all {} scenarios",
+            path.display(),
+            run.len()
+        );
+        return;
+    }
+    eprintln!("hotloop: schedule differs from {}:", path.display());
+    for m in &mismatches {
+        eprintln!("  {m}");
+    }
+    std::process::exit(1);
 }

@@ -179,7 +179,7 @@ fn run_fig5_cell(
 }
 
 /// One pass over every scenario.
-fn run_suite(quick: bool) -> Vec<Scenario> {
+pub fn run_suite(quick: bool) -> Vec<Scenario> {
     let (qs_pages, wss, threads): (u64, u64, &[usize]) = if quick {
         (1_024, 2_048, &[2])
     } else {
@@ -247,14 +247,13 @@ pub fn run_hotloop(quick: bool) -> HotloopReport {
 }
 
 /// Renders the report as `mage-bench-hotloop/v1` JSON. When baseline
-/// rows (`(id, events_per_sec)`, as [`validate_report`] returns them
-/// for a previous report) are given, per-scenario speedups and their
-/// geometric mean are included.
-pub fn render_json(report: &HotloopReport, baseline: Option<(&str, &[(String, f64)])>) -> String {
+/// rows (a previous report, as [`validate_report`] returns it) are
+/// given, per-scenario speedups and their geometric mean are included.
+pub fn render_json(report: &HotloopReport, baseline: Option<(&str, &[Scenario])>) -> String {
     let base_rate = |id: &str| -> Option<f64> {
         baseline
-            .and_then(|(_, rows)| rows.iter().find(|(bid, _)| bid == id))
-            .map(|&(_, eps)| eps)
+            .and_then(|(_, rows)| rows.iter().find(|b| b.id == id))
+            .map(Scenario::events_per_sec)
             .filter(|&eps| eps > 0.0)
     };
     let mut speedups: Vec<f64> = Vec::new();
@@ -295,10 +294,10 @@ pub fn render_json(report: &HotloopReport, baseline: Option<(&str, &[(String, f6
     Json::object(doc).render()
 }
 
-/// Validates an emitted report and returns its `(id, events_per_sec)`
-/// rows: the schema marker, at least one scenario, every scenario field
-/// present and well-typed, and a positive events/sec everywhere.
-pub fn validate_report(json: &str) -> Result<Vec<(String, f64)>, String> {
+/// Validates an emitted report and returns its scenarios: the schema
+/// marker, at least one scenario, every scenario field present and
+/// well-typed, and a positive events/sec everywhere.
+pub fn validate_report(json: &str) -> Result<Vec<Scenario>, String> {
     let doc = json::parse(json)?;
     if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         return Err(format!("missing schema marker {SCHEMA:?}"));
@@ -311,16 +310,44 @@ pub fn validate_report(json: &str) -> Result<Vec<(String, f64)>, String> {
     for (i, row) in scenarios.iter().enumerate() {
         let id = row.field("id", Json::as_str).map_err(|e| format!("scenario #{i}: {e}"))?;
         let at = |e: String| format!("scenario {id}: {e}");
-        row.field("wall_ms", Json::as_f64).map_err(at)?;
-        row.field("virtual_ns", Json::as_u64).map_err(at)?;
-        row.field("events", Json::as_u64).map_err(at)?;
+        let scenario = Scenario {
+            id: id.to_string(),
+            wall_ms: row.field("wall_ms", Json::as_f64).map_err(at)?,
+            virtual_ns: row.field("virtual_ns", Json::as_u64).map_err(at)?,
+            events: row.field("events", Json::as_u64).map_err(at)?,
+        };
         let eps = row.field("events_per_sec", Json::as_f64).map_err(at)?;
         if eps <= 0.0 {
             return Err(format!("scenario {id} has non-positive events/sec {eps}"));
         }
-        rows.push((id.to_string(), eps));
+        rows.push(scenario);
     }
     Ok(rows)
+}
+
+/// Compares a run's schedule with a committed report's: every scenario
+/// must be present on both sides with the same `events` and
+/// `virtual_ns`. Both are fixed by the seeded schedule, so a difference
+/// means a change moved the simulation, not host noise. Returns one
+/// line per difference.
+pub fn schedule_mismatches(committed: &[Scenario], run: &[Scenario]) -> Vec<String> {
+    let mut out = Vec::new();
+    for s in run {
+        match committed.iter().find(|c| c.id == s.id) {
+            None => out.push(format!("{}: not in the committed report", s.id)),
+            Some(c) if (c.events, c.virtual_ns) != (s.events, s.virtual_ns) => out.push(format!(
+                "{}: committed {} events / {} virtual ns, ran {} / {}",
+                s.id, c.events, c.virtual_ns, s.events, s.virtual_ns
+            )),
+            Some(_) => {}
+        }
+    }
+    for c in committed {
+        if !run.iter().any(|s| s.id == c.id) {
+            out.push(format!("{}: committed but not run", c.id));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -344,5 +371,16 @@ mod tests {
         assert!(json2.contains("\"speedup_vs_baseline\": 1.00"));
         assert!(json2.contains("\"speedup_geomean\": 1.00"));
         validate_report(&json2).expect("baselined report still validates");
+        // The schedule check accepts the run it came from and names
+        // every scenario that moved, is missing or is extra.
+        assert!(schedule_mismatches(&rows, &report.scenarios).is_empty());
+        let mut moved = report.scenarios.clone();
+        moved[0].events += 1;
+        moved[1].virtual_ns += 1;
+        moved.pop();
+        let found = schedule_mismatches(&rows, &moved);
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(found[0].starts_with(&format!("{}: committed", moved[0].id)));
+        assert!(found[2].ends_with("committed but not run"));
     }
 }

@@ -19,18 +19,113 @@
 use std::cell::RefCell;
 
 use mage_sim::rng::SplitMix64;
-use mage_sim::slab::PageMap;
 use mage_sim::stats::Counter;
+
+/// Largest supported capacity: the index packs the `order` index + 1 into
+/// 16 bits, and its `next_pow2(2 × capacity)` slots must fit the 16-bit
+/// fingerprint's home-slot field.
+const MAX_CAPACITY: usize = 32_767;
+
+/// Top 16 bits of the vpn's Fibonacci hash (the multiplier `PageMap`
+/// uses): the fingerprint stored in the index, whose top bits are also
+/// the home slot.
+#[inline]
+fn fingerprint(vpn: u64) -> u32 {
+    (vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48) as u32
+}
+
+/// The translations and their index, behind one borrow.
+struct Entries {
+    /// Open-addressed index over `order`, one `u32` per slot: the high
+    /// 16 bits hold the vpn's [`fingerprint`], the low 16 bits its
+    /// `order` index + 1, and 0 marks an empty slot. Linear probing with
+    /// backward-shift deletion; the fingerprint's top `log2(len)` bits
+    /// are the home slot, so deletion never re-hashes a vpn. At 1,536
+    /// entries the table is 16 KiB — 4 bytes a slot, where a
+    /// `PageMap<usize>` spends 24 — so the per-core TLBs a shootdown
+    /// probes stay cache-resident.
+    index: Vec<u32>,
+    /// `16 - log2(index.len())`: a fingerprint shifted right by this is
+    /// its home slot.
+    home_shift: u32,
+    /// Cached vpns; random replacement draws an index into this vector.
+    order: Vec<u64>,
+}
+
+/// The `order` index an occupied index word points at.
+#[inline]
+fn order_idx(word: u32) -> usize {
+    (word & 0xFFFF) as usize - 1
+}
+
+impl Entries {
+    /// Home slot of a fingerprint.
+    #[inline]
+    fn home(&self, fp: u32) -> usize {
+        (fp >> self.home_shift) as usize
+    }
+
+    #[inline]
+    fn next(&self, slot: usize) -> usize {
+        (slot + 1) & (self.index.len() - 1)
+    }
+
+    /// Index slot caching `vpn`. A fingerprint match counts only after
+    /// `order` confirms the vpn, so the answer is exact.
+    #[inline]
+    fn find(&self, vpn: u64) -> Option<usize> {
+        let fp = fingerprint(vpn);
+        let mut slot = self.home(fp);
+        loop {
+            let word = self.index[slot];
+            if word == 0 {
+                return None;
+            }
+            if word >> 16 == fp && self.order[order_idx(word)] == vpn {
+                return Some(slot);
+            }
+            slot = self.next(slot);
+        }
+    }
+
+    /// Indexes `vpn` as `order[idx]`; `vpn` must not be indexed already.
+    fn insert(&mut self, vpn: u64, idx: usize) {
+        let fp = fingerprint(vpn);
+        let mut slot = self.home(fp);
+        while self.index[slot] != 0 {
+            slot = self.next(slot);
+        }
+        self.index[slot] = fp << 16 | (idx as u32 + 1);
+    }
+
+    /// Empties `hole`, shifting later entries of its probe run back so
+    /// lookups never meet a tombstone.
+    fn remove_slot(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        self.index[hole] = 0;
+        let mut slot = hole;
+        loop {
+            slot = self.next(slot);
+            let word = self.index[slot];
+            if word == 0 {
+                return;
+            }
+            let home = self.home(word >> 16);
+            // Shift `slot` back into the hole iff its home does not lie
+            // cyclically after the hole.
+            if (slot.wrapping_sub(home) & mask) >= (slot.wrapping_sub(hole) & mask) {
+                self.index[hole] = word;
+                self.index[slot] = 0;
+                hole = slot;
+            }
+        }
+    }
+}
 
 /// A fixed-capacity, randomly-replaced translation cache for one core.
 pub struct Tlb {
     capacity: usize,
-    /// vpn → slot in `order` (for O(1) invalidation). Open-addressed
-    /// deterministic index: the hottest lookup in the simulator (once
-    /// per access), converted from `BTreeMap` by the slab refactor.
-    map: RefCell<PageMap<usize>>,
-    /// Insertion vector for random replacement.
-    order: RefCell<Vec<u64>>,
+    entries: RefCell<Entries>,
     rng: SplitMix64,
     /// Translation hits.
     pub hits: Counter,
@@ -43,14 +138,28 @@ pub struct Tlb {
 impl Tlb {
     /// Creates a TLB with `capacity` entries (e.g. 1,536 for Ice Lake's
     /// combined DTLB+STLB reach at 4 KiB pages).
+    ///
+    /// The index has `next_pow2(2 × capacity)` slots: a full TLB replaces
+    /// an entry per miss (remove + insert), and the 2× slack keeps the
+    /// probe runs that backward-shift deletion walks short.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` exceeds 32,767, the most the 16-bit fields of
+    /// the index can address.
     pub fn new(capacity: usize, seed: u64) -> Self {
+        assert!(
+            capacity <= MAX_CAPACITY,
+            "TLB capacity {capacity} exceeds {MAX_CAPACITY}"
+        );
+        let slots = (2 * capacity).next_power_of_two();
         Tlb {
             capacity,
-            // 2× slack: a full TLB replaces an entry per miss (remove +
-            // insert), and backward-shift deletion at the map's ¾-load
-            // limit walks long probe chains. Half-load keeps them short.
-            map: RefCell::new(PageMap::with_capacity(capacity * 2)),
-            order: RefCell::new(Vec::with_capacity(capacity)),
+            entries: RefCell::new(Entries {
+                index: vec![0; slots],
+                home_shift: 16 - slots.trailing_zeros(),
+                order: Vec::with_capacity(capacity),
+            }),
             rng: SplitMix64::new(seed),
             hits: Counter::new(),
             misses: Counter::new(),
@@ -60,7 +169,7 @@ impl Tlb {
 
     /// Looks up `vpn`, recording a hit or miss.
     pub fn lookup(&self, vpn: u64) -> bool {
-        if self.map.borrow().contains_key(vpn) {
+        if self.translates(vpn) {
             self.hits.inc();
             true
         } else {
@@ -71,58 +180,62 @@ impl Tlb {
 
     /// Whether the core can currently translate `vpn` (no stats recorded).
     pub fn translates(&self, vpn: u64) -> bool {
-        self.map.borrow().contains_key(vpn)
+        self.entries.borrow().find(vpn).is_some()
     }
 
     /// Inserts a translation after a page-table walk, evicting a random
     /// victim if the TLB is full.
     pub fn fill(&self, vpn: u64) {
-        let mut map = self.map.borrow_mut();
-        if map.contains_key(vpn) {
+        let mut e = self.entries.borrow_mut();
+        if e.find(vpn).is_some() {
             return;
         }
-        let mut order = self.order.borrow_mut();
-        if order.len() >= self.capacity {
-            let victim_slot = self.rng.next_below(order.len() as u64) as usize;
-            let victim = order[victim_slot];
-            map.remove(victim);
+        if e.order.len() >= self.capacity {
+            let victim_idx = self.rng.next_below(e.order.len() as u64) as usize;
+            let victim_slot = e.find(e.order[victim_idx]).expect("cached vpn is indexed");
+            e.remove_slot(victim_slot);
             self.capacity_evictions.inc();
-            order[victim_slot] = vpn;
-            map.insert(vpn, victim_slot);
+            e.order[victim_idx] = vpn;
+            e.insert(vpn, victim_idx);
         } else {
-            order.push(vpn);
-            map.insert(vpn, order.len() - 1);
+            e.order.push(vpn);
+            let idx = e.order.len() - 1;
+            e.insert(vpn, idx);
         }
     }
 
     /// Invalidates one translation (INVLPG).
     pub fn invalidate(&self, vpn: u64) {
-        let mut map = self.map.borrow_mut();
-        if let Some(slot) = map.remove(vpn) {
-            let mut order = self.order.borrow_mut();
-            let last = order.len() - 1;
-            order.swap(slot, last);
-            order.pop();
-            if slot < order.len() {
-                map.insert(order[slot], slot);
-            }
+        let mut e = self.entries.borrow_mut();
+        let Some(slot) = e.find(vpn) else {
+            return;
+        };
+        let idx = order_idx(e.index[slot]);
+        e.remove_slot(slot);
+        // Swap-remove: the last entry moves into `idx`.
+        let last = e.order.len() - 1;
+        if idx < last {
+            let moved = e.find(e.order[last]).expect("cached vpn is indexed");
+            e.index[moved] = (e.index[moved] & !0xFFFF) | (idx as u32 + 1);
         }
+        e.order.swap_remove(idx);
     }
 
     /// Flushes every translation (CR3 write).
     pub fn flush_all(&self) {
-        *self.map.borrow_mut() = PageMap::with_capacity(self.capacity * 2);
-        self.order.borrow_mut().clear();
+        let mut e = self.entries.borrow_mut();
+        e.index.fill(0);
+        e.order.clear();
     }
 
     /// Number of cached translations.
     pub fn len(&self) -> usize {
-        self.order.borrow().len()
+        self.entries.borrow().order.len()
     }
 
     /// Whether the TLB is empty.
     pub fn is_empty(&self) -> bool {
-        self.order.borrow().is_empty()
+        self.entries.borrow().order.is_empty()
     }
 }
 

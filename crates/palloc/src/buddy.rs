@@ -7,7 +7,6 @@
 //! per-CPU caches, MAGE's multi-layer hierarchy) is layered on top in
 //! [`crate::local`].
 
-use mage_sim::slab::PageMap;
 use std::collections::BTreeSet;
 
 /// Maximum block order (2^10 frames = 4 MiB blocks at 4 KiB pages).
@@ -55,10 +54,15 @@ pub struct BuddyAllocator {
     /// eager representation would have picked.
     pristine_next: u64,
     pristine_end: u64,
-    /// Outstanding allocations (base → order), for exact double-free
-    /// detection. Pure point lookups, so an open-addressed [`PageMap`]
-    /// suffices: a base can be outstanding at only one order at a time.
-    outstanding: PageMap<u32>,
+    /// Outstanding allocations, for exact double-free detection: `order
+    /// + 1` at each outstanding block's [`record`](Self::record)
+    /// position, 0 elsewhere (a base is outstanding at one order at a
+    /// time). Dense bytes rather than a hash map, grown on demand to the
+    /// allocation high-water mark: `alloc` hands out the smallest free
+    /// base, so that mark tracks the frames in use, not `nframes`.
+    outstanding: Vec<u8>,
+    /// Non-zero bytes in `outstanding`.
+    outstanding_blocks: u64,
     free_frames: u64,
 }
 
@@ -76,7 +80,9 @@ impl BuddyAllocator {
             free_lists: (0..=MAX_ORDER).map(|_| BTreeSet::new()).collect(),
             pristine_next: 0,
             pristine_end,
-            outstanding: PageMap::new(),
+            // The sub-max-order tail's records, under 2^MAX_ORDER bytes.
+            outstanding: vec![0; (nframes - pristine_end) as usize],
+            outstanding_blocks: 0,
             free_frames: nframes,
         };
         // Seed the sub-max-order tail with maximal aligned blocks.
@@ -119,6 +125,20 @@ impl BuddyAllocator {
         base
     }
 
+    /// Position of `base`'s byte in `outstanding`: the tail
+    /// `[pristine_end, nframes)` first, then the aligned run by base. An
+    /// unaligned pool's tail blocks win the low-order search first, so
+    /// indexing by base alone would grow the record to `nframes` on the
+    /// first allocation.
+    fn record(&self, base: u64) -> usize {
+        let at = if base >= self.pristine_end {
+            base - self.pristine_end
+        } else {
+            self.nframes - self.pristine_end + base
+        };
+        usize::try_from(at).expect("frame record index fits in usize")
+    }
+
     /// Number of currently free frames.
     pub fn free_frames(&self) -> u64 {
         self.free_frames
@@ -130,7 +150,7 @@ impl BuddyAllocator {
     /// O(1) in `nframes` — the scale bench and the sparse-space
     /// regression read it to pin O(touched) behaviour.
     pub fn metadata_entries(&self) -> u64 {
-        self.free_lists.iter().map(|l| l.len() as u64).sum::<u64>() + self.outstanding.len() as u64
+        self.free_lists.iter().map(|l| l.len() as u64).sum::<u64>() + self.outstanding_blocks
     }
 
     /// Allocates a block of `2^order` frames, returning its base frame.
@@ -148,7 +168,12 @@ impl BuddyAllocator {
             self.free_lists[o as usize].insert(buddy);
         }
         self.free_frames -= 1 << order;
-        self.outstanding.insert(base, order);
+        let at = self.record(base);
+        if at >= self.outstanding.len() {
+            self.outstanding.resize(at + 1, 0);
+        }
+        self.outstanding[at] = order as u8 + 1;
+        self.outstanding_blocks += 1;
         Some(base)
     }
 
@@ -172,11 +197,14 @@ impl BuddyAllocator {
         assert!(order <= MAX_ORDER, "order {order} too large");
         assert_eq!(base % (1 << order), 0, "misaligned free of {base:#x}");
         assert!(base + (1 << order) <= self.nframes, "free out of range");
+        let at = self.record(base);
         assert_eq!(
-            self.outstanding.remove(base),
-            Some(order),
+            self.outstanding.get(at).copied(),
+            Some(order as u8 + 1),
             "double or invalid free of block {base:#x} order {order}"
         );
+        self.outstanding[at] = 0;
+        self.outstanding_blocks -= 1;
         let freed_frames = 1u64 << order;
         let mut base = base;
         let mut order = order;
@@ -240,6 +268,21 @@ mod tests {
         assert_eq!(b.alloc(MAX_ORDER), Some(1 << MAX_ORDER));
         b.free(0, 0);
         assert_eq!(b.alloc(0), Some(0));
+    }
+
+    #[test]
+    fn unaligned_terabyte_pool_allocates_its_tail_in_o1() {
+        // The first order-0 block comes from the unaligned tail at the
+        // top of the pool; its double-free record must not be sized by
+        // its base frame.
+        let n = (1u64 << 38) + 777;
+        let mut b = BuddyAllocator::new(n);
+        assert_eq!(b.alloc(0), Some(n - 1));
+        assert_eq!(b.alloc(MAX_ORDER), Some(0));
+        assert!(b.outstanding.len() <= 2 << MAX_ORDER);
+        b.free(n - 1, 0);
+        b.free(0, MAX_ORDER);
+        assert_eq!(b.free_frames(), n);
     }
 
     /// The eager-seeded allocator this module used to build: every

@@ -142,14 +142,15 @@ fn fib_hash(key: u64, shift: u32) -> usize {
 ///
 /// Linear probing with backward-shift deletion (no tombstones), growth
 /// at ¾ load. Point operations are O(1) expected with a probe sequence
-/// fully determined by the key history — the structure the TLB,
-/// page-waiter and evicting sets use instead of `BTreeMap`.
+/// fully determined by the key history — the structure the page-waiter,
+/// evicting and replica sets use instead of `BTreeMap`. (The per-core
+/// TLBs keep their own 4-byte-per-slot index, `mage_mmu::tlb`, small
+/// enough for 56 of them to stay cache-resident.)
 ///
 /// Keys and values live in parallel arrays so the probe loop touches 8
 /// bytes per slot (the key array) and only dereferences a value on a
 /// hit — measurably faster than probing `Option<(u64, V)>` slots in the
-/// events/sec harness, where the per-core TLBs put a few thousand of
-/// these probes on every fault path.
+/// events/sec harness.
 pub struct PageMap<V> {
     /// `key + 1` per slot; 0 marks an empty slot. Keys of `u64::MAX`
     /// are rejected at insert (page and sequence numbers never get
@@ -180,7 +181,7 @@ impl<V> PageMap<V> {
     /// the smallest power of two keeping `n` at or under ¾ load — the
     /// same threshold [`insert`](Self::insert) grows at, so a map sized
     /// for its working set never reallocates *or* overshoots to the next
-    /// power of two (a TLB's 1 536 entries fit 2 048 slots exactly).
+    /// power of two (1,536 entries fit 2,048 slots exactly).
     pub fn with_capacity(n: usize) -> Self {
         let cap = (n * 4).div_ceil(3).next_power_of_two().max(Self::MIN_CAP);
         Self::with_pow2_capacity(cap)
