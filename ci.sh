@@ -55,6 +55,10 @@ test -s target/quickstart_trace.json || {
     exit 1
 }
 
+echo "==> example runs (an example that panics fails CI)"
+cargo run -q --release --example swap_backends >/dev/null
+cargo run -q --release --example custom_system >/dev/null
+
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

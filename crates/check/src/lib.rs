@@ -105,7 +105,7 @@ impl Default for Cell {
 
 impl Cell {
     /// The executor policy this cell runs under, seeded from the cell.
-    pub fn exploration_policy(&self) -> ExplorationPolicy {
+    fn exploration_policy(&self) -> ExplorationPolicy {
         match self.policy {
             PolicyKind::Fifo => ExplorationPolicy::Fifo,
             PolicyKind::SeededRandom => ExplorationPolicy::SeededRandom { seed: self.seed },
@@ -155,7 +155,7 @@ impl Cell {
     }
 
     /// Env-var parsing with an injectable source (for tests).
-    pub fn from_vars(get: impl Fn(&str) -> Option<String>) -> Option<Cell> {
+    fn from_vars(get: impl Fn(&str) -> Option<String>) -> Option<Cell> {
         let mut cell = Cell {
             seed: get("MAGE_CHECK_SEED")?.parse().ok()?,
             ..Cell::default()

@@ -40,7 +40,7 @@ pub enum PageState {
 }
 
 /// Display name of a [`PageEvent`] variant, for violation reports.
-pub fn event_name(event: &PageEvent) -> &'static str {
+fn event_name(event: &PageEvent) -> &'static str {
     match event {
         PageEvent::Placed { .. } => "placed",
         PageEvent::FetchStart { .. } => "fetch-start",

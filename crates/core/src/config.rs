@@ -19,12 +19,11 @@
 use mage_fabric::{FaultPlan, NicConfig};
 use mage_mmu::VmaLockModel;
 use mage_palloc::LocalAllocatorKind;
-use mage_sim::time::Nanos;
 use mage_sim::SimHandle;
 
-use crate::backend::{DisaggTier, FarBackend, RdmaBackend, ReplicationConfig};
+use crate::backend::{FarBackend, RdmaBackend, ReplicationConfig};
 use crate::costs::{CostModel, OsProfile};
-use crate::reclaim::{AgingClock, ApproxLru, Clock, EvictionPolicy, Fifo, S3Fifo, SecondChance};
+use crate::reclaim::{ApproxLru, Clock, EvictionPolicy, Fifo, S3Fifo, SecondChance};
 use crate::retry::RetryPolicy;
 
 /// Remote-slot allocation policy selector.
@@ -50,11 +49,6 @@ pub enum EvictionPolicyKind {
     /// Classic CLOCK: the second-chance test, with hot pages rotated in
     /// place instead of promoted.
     Clock,
-    /// Aging-counter CLOCK: each hit grants `hot_rounds` grace rounds.
-    AgingClock {
-        /// Grace rounds granted per hit (1 behaves like second chance).
-        hot_rounds: u8,
-    },
     /// S3-FIFO (SOSP '23): a frequency-capped filter over small/main
     /// queues, where a ghost hit admits a page straight to main and
     /// recharges its frequency.
@@ -78,7 +72,6 @@ impl EvictionPolicyKind {
             EvictionPolicyKind::SecondChance => Box::new(SecondChance),
             EvictionPolicyKind::Fifo => Box::new(Fifo),
             EvictionPolicyKind::Clock => Box::new(Clock),
-            EvictionPolicyKind::AgingClock { hot_rounds } => Box::new(AgingClock::new(hot_rounds)),
             EvictionPolicyKind::S3Fifo => Box::new(S3Fifo::default()),
             EvictionPolicyKind::ApproxLru => Box::new(ApproxLru::default()),
             EvictionPolicyKind::Custom { build, .. } => build(),
@@ -91,7 +84,6 @@ impl EvictionPolicyKind {
             EvictionPolicyKind::SecondChance => "second-chance",
             EvictionPolicyKind::Fifo => "fifo",
             EvictionPolicyKind::Clock => "clock",
-            EvictionPolicyKind::AgingClock { .. } => "aging-clock",
             EvictionPolicyKind::S3Fifo => "s3-fifo",
             EvictionPolicyKind::ApproxLru => "approx-lru",
             EvictionPolicyKind::Custom { name, .. } => name,
@@ -106,13 +98,6 @@ pub enum BackendKind {
     /// testbed; default everywhere). Slot placement follows
     /// [`SystemConfig::remote_alloc`].
     Rdma,
-    /// A disaggregated memory tier behind a switch hop: higher latency,
-    /// dynamic pool-side slot placement, clean pages re-written on every
-    /// eviction.
-    DisaggTier {
-        /// Extra switch latency per direction, ns.
-        hop_ns: Nanos,
-    },
     /// A user-provided backend; `build` is called once at machine launch
     /// with the simulation handle, the full config and the far-memory
     /// capacity in pages.
@@ -135,9 +120,6 @@ impl BackendKind {
     ) -> Box<dyn FarBackend> {
         match *self {
             BackendKind::Rdma => Box::new(RdmaBackend::new(sim, cfg, remote_pages)),
-            BackendKind::DisaggTier { hop_ns } => {
-                Box::new(DisaggTier::new(sim, cfg, remote_pages, hop_ns))
-            }
             BackendKind::Custom { build, .. } => build(sim, cfg, remote_pages),
         }
     }
@@ -148,11 +130,8 @@ impl BackendKind {
 pub enum PrefetchPolicy {
     /// No prefetching.
     None,
-    /// Sequential-pattern readahead with the given maximum window.
-    Readahead {
-        /// Maximum pages prefetched per trigger.
-        max_window: usize,
-    },
+    /// Sequential-pattern readahead (window capped at 8 pages).
+    Readahead,
 }
 
 /// Full configuration of one simulated far-memory system.
@@ -338,7 +317,7 @@ impl SystemConfig {
             pipelined_eviction: false,
             eviction_batch: 64,
             sync_eviction_batch: 32,
-            prefetch: PrefetchPolicy::Readahead { max_window: 8 },
+            prefetch: PrefetchPolicy::Readahead,
             virtualized: false,
             tlb_coherence: true,
             nic: NicConfig::bluefield2_200g(),
@@ -369,7 +348,7 @@ impl SystemConfig {
             pipelined_eviction: false,
             eviction_batch: 64,
             sync_eviction_batch: 32,
-            prefetch: PrefetchPolicy::Readahead { max_window: 8 },
+            prefetch: PrefetchPolicy::Readahead,
             virtualized: true,
             tlb_coherence: true,
             nic: NicConfig::bluefield2_200g(),
@@ -417,7 +396,7 @@ impl SystemConfig {
     /// Enables readahead prefetching (used by MAGE-Lib in §6.2's
     /// sequential-scan experiment).
     pub fn with_prefetch(mut self) -> Self {
-        self.prefetch = PrefetchPolicy::Readahead { max_window: 8 };
+        self.prefetch = PrefetchPolicy::Readahead;
         self
     }
 
@@ -435,7 +414,7 @@ impl SystemConfig {
     }
 
     /// Swaps the far-memory backend implementation (data movement + slot
-    /// placement), e.g. to the disaggregated tier.
+    /// placement), e.g. to a [`BackendKind::Custom`] backend.
     pub fn with_backend_kind(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
         self
@@ -528,7 +507,7 @@ mod tests {
                 ..RetryPolicy::default()
             });
         assert_eq!(cfg.eviction_batch, 128);
-        assert!(matches!(cfg.prefetch, PrefetchPolicy::Readahead { .. }));
+        assert_eq!(cfg.prefetch, PrefetchPolicy::Readahead);
         assert!(cfg.faults.is_active());
         assert_eq!(cfg.retry.max_retries, 5);
     }

@@ -69,8 +69,8 @@ pub mod retry;
 pub mod stats;
 
 pub use backend::{
-    DisaggTier, FarBackend, LocalBoxFuture, RdmaBackend, ReplicaState, ReplicatedBackend,
-    ReplicationConfig, ReplicationStats,
+    FarBackend, LocalBoxFuture, RdmaBackend, ReplicaState, ReplicatedBackend, ReplicationConfig,
+    ReplicationStats,
 };
 pub use config::{
     BackendKind, EvictionPolicyKind, PlantedBug, PrefetchPolicy, RemoteAllocKind, SystemConfig,
@@ -80,6 +80,6 @@ pub use events::{EventSink, PageEvent};
 pub use ideal::IdealModel;
 pub use machine::{Access, FarMemory, MachineParams};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, MetricsWindow};
-pub use reclaim::{AgingClock, ApproxLru, Clock, EvictionPolicy, Fifo, S3Fifo, SecondChance};
+pub use reclaim::{ApproxLru, Clock, EvictionPolicy, Fifo, S3Fifo, SecondChance};
 pub use retry::{FaultError, RetryPolicy, TransferOp};
 pub use stats::{BreakdownMeans, EngineStats};

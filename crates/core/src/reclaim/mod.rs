@@ -19,7 +19,7 @@ pub mod policy;
 pub(crate) mod batch;
 pub(crate) mod pipeline;
 
-pub use policy::{AgingClock, ApproxLru, Clock, EvictionPolicy, Fifo, S3Fifo, SecondChance};
+pub use policy::{ApproxLru, Clock, EvictionPolicy, Fifo, S3Fifo, SecondChance};
 
 #[cfg(test)]
 mod tests {

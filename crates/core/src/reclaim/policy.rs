@@ -10,11 +10,10 @@
 //! policy is the system's only victim-selection choice.
 //!
 //! Implementations ship for the paper's second-chance test (default),
-//! MAGE-Lnx's no-recheck [`Fifo`] queues, classic [`Clock`], an
-//! aging-counter CLOCK that grants recently-hot pages extra grace
-//! rounds, S3-FIFO ([`S3Fifo`]: a frequency-capped filter over
-//! small/main queues fed by the ghost list's re-fault signal), and an
-//! NFU/aging [`ApproxLru`] baseline. New policies are a new file
+//! MAGE-Lnx's no-recheck [`Fifo`] queues, classic [`Clock`], S3-FIFO
+//! ([`S3Fifo`]: a frequency-capped filter over small/main queues fed by
+//! the ghost list's re-fault signal), and an NFU/aging [`ApproxLru`]
+//! baseline. New policies are a new file
 //! implementing [`EvictionPolicy`] plus an
 //! [`EvictionPolicyKind::Custom`](crate::config::EvictionPolicyKind)
 //! constructor — no engine edits.
@@ -114,55 +113,6 @@ impl EvictionPolicy for Clock {
 
     fn discipline(&self) -> Discipline {
         Discipline::Clock
-    }
-}
-
-/// Aging-counter CLOCK: a hit recharges the page's counter to
-/// `hot_rounds`; every miss decays it by one, and the page is evicted
-/// only once the counter is exhausted. `hot_rounds = 1` degenerates to
-/// [`SecondChance`]; larger values keep the warm set resident through
-/// short cold spells at the price of slower reclaim of truly-dead pages.
-pub struct AgingClock {
-    hot_rounds: u8,
-    /// Remaining grace rounds per page. Deterministic iteration order is
-    /// irrelevant (keyed point lookups only) but BTreeMap keeps the
-    /// no-hash-collections rule trivially satisfied.
-    counters: RefCell<BTreeMap<u64, u8>>,
-}
-
-impl AgingClock {
-    /// A clock granting `hot_rounds` grace rounds after each hit.
-    pub fn new(hot_rounds: u8) -> Self {
-        AgingClock {
-            hot_rounds: hot_rounds.max(1),
-            counters: RefCell::new(BTreeMap::new()),
-        }
-    }
-}
-
-impl EvictionPolicy for AgingClock {
-    fn name(&self) -> &'static str {
-        "aging-clock"
-    }
-
-    fn test_and_age(&self, pt: &PageTable, vpn: u64) -> bool {
-        let old = pt.update(vpn, |p| p.with_accessed(false));
-        let mut counters = self.counters.borrow_mut();
-        if old.accessed() {
-            counters.insert(vpn, self.hot_rounds);
-            return true;
-        }
-        match counters.get_mut(&vpn) {
-            Some(n) if *n > 1 => {
-                *n -= 1;
-                true
-            }
-            Some(_) => {
-                counters.remove(&vpn);
-                false
-            }
-            None => false,
-        }
     }
 }
 
@@ -299,19 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn aging_clock_grants_grace_rounds() {
-        let pt = table_with(9, true);
-        let p = AgingClock::new(3);
-        assert!(p.test_and_age(&pt, 9), "hit: recharged");
-        // Two further cold scans survive on the counter, the third evicts
-        // (three survivals per hit in total with hot_rounds = 3).
-        assert!(p.test_and_age(&pt, 9));
-        assert!(p.test_and_age(&pt, 9));
-        assert!(!p.test_and_age(&pt, 9), "grace exhausted");
-        assert!(!p.test_and_age(&pt, 9), "stays cold");
-    }
-
-    #[test]
     fn s3fifo_caps_frequency_and_decays() {
         let pt = table_with(9, true);
         let p = S3Fifo::default();
@@ -375,16 +312,5 @@ mod tests {
         let p = SecondChance;
         p.note_refault(9);
         assert!(!p.test_and_age(&pt, 9), "second-chance ignores the signal");
-    }
-
-    #[test]
-    fn aging_clock_recharges_on_rehit() {
-        let pt = table_with(9, true);
-        let p = AgingClock::new(2);
-        assert!(p.test_and_age(&pt, 9));
-        pt.set(9, pt.get(9).with_accessed(true)); // page touched again
-        assert!(p.test_and_age(&pt, 9), "recharged by the new hit");
-        assert!(p.test_and_age(&pt, 9), "counter full again");
-        assert!(!p.test_and_age(&pt, 9));
     }
 }

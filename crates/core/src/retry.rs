@@ -83,7 +83,7 @@ impl RetryPolicy {
     /// The backoff before retry `attempt` (1-based): exponential from
     /// `backoff_base_ns`, capped, plus up to 50% seeded jitter. Fully
     /// determined by the policy and the RNG state.
-    pub fn backoff_ns(&self, attempt: u32, rng: &SplitMix64) -> Nanos {
+    fn backoff_ns(&self, attempt: u32, rng: &SplitMix64) -> Nanos {
         let shift = attempt.saturating_sub(1).min(20);
         let base = self
             .backoff_base_ns

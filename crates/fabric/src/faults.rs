@@ -26,8 +26,6 @@
 //! error/spike draws consume a stateful per-link RNG, which the
 //! deterministic executor replays identically for a given seed.
 
-use std::cell::Cell;
-
 use mage_sim::rng::{self, mix64, SplitMix64};
 use mage_sim::time::{Nanos, SimTime};
 
@@ -269,9 +267,6 @@ pub struct FaultInjector {
     plan: FaultPlan,
     rng: SplitMix64,
     stats: FaultStats,
-    /// Epoch of the last crash-recovery observed (for the recovery count).
-    last_down: Cell<bool>,
-    recoveries: Cell<u64>,
 }
 
 impl FaultInjector {
@@ -283,8 +278,6 @@ impl FaultInjector {
             plan,
             rng,
             stats: FaultStats::default(),
-            last_down: Cell::new(false),
-            recoveries: Cell::new(0),
         }
     }
 
@@ -296,11 +289,6 @@ impl FaultInjector {
     /// Injection counters.
     pub fn stats(&self) -> &FaultStats {
         &self.stats
-    }
-
-    /// Crash→recovery transitions observed by posted operations.
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries.get()
     }
 
     /// Whether a pseudo-randomly placed window is open at `now`. Pure in
@@ -331,7 +319,7 @@ impl FaultInjector {
     }
 
     /// Whether the link is inside a brownout window at `now`.
-    pub fn brownout_active(&self, now: SimTime) -> bool {
+    fn brownout_active(&self, now: SimTime) -> bool {
         self.plan.brownout_bw_div > 1
             && self.window_active(
                 STREAM_BROWNOUT,
@@ -375,37 +363,9 @@ impl FaultInjector {
         )
     }
 
-    /// End instant of the outage window containing `now`, if the node is
-    /// down. Background re-replication uses this to wait out the window
-    /// instead of polling blindly.
-    pub fn outage_ends_at(&self, now: SimTime) -> Option<SimTime> {
-        if !self.node_down(now) {
-            return None;
-        }
-        let period = self.plan.crash_period_ns;
-        let duration = self.plan.crash_duration_ns.min(period);
-        let t = now.as_nanos();
-        if self.plan.crash_aligned {
-            let shifted = t.wrapping_add(self.plan.crash_phase_ns);
-            let into = shifted % period;
-            return Some(SimTime::from_nanos(t + (duration - into)));
-        }
-        // Recompute the pseudo-random offset of this epoch's window.
-        let epoch = t / period;
-        let h = mix64(self.plan.seed ^ STREAM_CRASH ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let span = period - duration;
-        let offset = if span == 0 { 0 } else { mix64(h ^ 0x000F_F5E7) % (span + 1) };
-        Some(SimTime::from_nanos(epoch * period + offset + duration))
-    }
-
     /// Decides the fate of one operation posted at `now`.
     pub(crate) fn sample(&self, now: SimTime) -> OpInjection {
-        let down = self.node_down(now);
-        if self.last_down.get() && !down {
-            self.recoveries.set(self.recoveries.get() + 1);
-        }
-        self.last_down.set(down);
-        if down {
+        if self.node_down(now) {
             self.stats.unreachable_ops.inc();
             return OpInjection {
                 node_down: true,
@@ -535,25 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_transitions_are_counted() {
-        let plan = FaultPlan {
-            seed: 3,
-            crash_period_ns: 100_000,
-            crash_duration_ns: 50_000,
-            crash_rate: 1.0,
-            ..FaultPlan::none()
-        };
-        let inj = FaultInjector::new(plan, 0);
-        let mut saw_down = false;
-        for t in (0..1_000_000).step_by(1_000) {
-            let s = inj.sample(SimTime::from_nanos(t));
-            saw_down |= s.node_down;
-        }
-        assert!(saw_down, "outage windows must open");
-        assert!(inj.recoveries() > 0, "the node must also come back");
-    }
-
-    #[test]
     fn staggered_node_crashes_are_disjoint_and_periodic() {
         let nodes = 3;
         let injs: Vec<_> = (0..nodes)
@@ -580,36 +521,6 @@ mod tests {
         }
         for (i, c) in down_counts.iter().enumerate() {
             assert!(*c > 0, "node {i} never crashed");
-        }
-    }
-
-    #[test]
-    fn outage_end_bounds_the_open_window() {
-        for plan in [
-            FaultPlan::staggered_node_crash(4, 1, 2, 200_000, 30_000),
-            FaultPlan {
-                seed: 4,
-                crash_period_ns: 200_000,
-                crash_duration_ns: 30_000,
-                crash_rate: 1.0,
-                ..FaultPlan::none()
-            },
-        ] {
-            let inj = FaultInjector::new(plan, 0);
-            let mut checked = 0;
-            for t in (0..2_000_000u64).step_by(777) {
-                let now = SimTime::from_nanos(t);
-                if let Some(end) = inj.outage_ends_at(now) {
-                    assert!(inj.node_down(now));
-                    assert!(
-                        !inj.node_down(end),
-                        "node still down at its predicted recovery {end:?} (t={t})"
-                    );
-                    assert!(end.as_nanos() > t && end.as_nanos() - t <= 30_000);
-                    checked += 1;
-                }
-            }
-            assert!(checked > 0, "no outage window ever observed");
         }
     }
 

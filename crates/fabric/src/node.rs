@@ -59,28 +59,10 @@ pub struct RemoteRegion {
     pub huge_pages: bool,
 }
 
-impl RemoteRegion {
-    /// Returns the remote address at `offset` into the region.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset` is out of bounds.
-    pub fn addr(&self, offset: u64) -> RemoteAddr {
-        assert!(offset < self.len, "offset {offset} out of region bounds");
-        RemoteAddr(self.base.0 + offset)
-    }
-
-    /// Whether `addr` falls inside this region.
-    pub fn contains(&self, addr: RemoteAddr) -> bool {
-        addr.0 >= self.base.0 && addr.0 < self.base.0 + self.len
-    }
-}
-
 /// The far-memory node daemon's bookkeeping.
 pub struct MemoryNode {
     capacity: u64,
     next_base: RefCell<u64>,
-    regions: RefCell<Vec<RemoteRegion>>,
 }
 
 impl MemoryNode {
@@ -89,7 +71,6 @@ impl MemoryNode {
         MemoryNode {
             capacity,
             next_base: RefCell::new(0),
-            regions: RefCell::new(Vec::new()),
         }
     }
 
@@ -107,7 +88,6 @@ impl MemoryNode {
             huge_pages,
         };
         *next += len;
-        self.regions.borrow_mut().push(region.clone());
         Some(region)
     }
 
@@ -119,11 +99,6 @@ impl MemoryNode {
     /// Bytes currently registered.
     pub fn registered(&self) -> u64 {
         *self.next_base.borrow()
-    }
-
-    /// Number of registered regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.borrow().len()
     }
 }
 
@@ -139,7 +114,6 @@ mod tests {
         assert_eq!(r1.base, RemoteAddr(0));
         assert_eq!(r2.base, RemoteAddr(4096));
         assert_eq!(node.registered(), 12_288);
-        assert_eq!(node.region_count(), 2);
     }
 
     #[test]
@@ -149,22 +123,5 @@ mod tests {
         assert!(node.register(8_000, false).is_none());
         // A smaller request still fits.
         assert!(node.register(2_000, false).is_some());
-    }
-
-    #[test]
-    fn region_addressing() {
-        let node = MemoryNode::new(1 << 30);
-        let r = node.register(1 << 20, true).expect("fits");
-        assert_eq!(r.addr(512 * 1024), RemoteAddr(r.base.0 + 512 * 1024));
-        assert!(r.contains(r.addr(0)));
-        assert!(!r.contains(RemoteAddr(r.base.0 + r.len)));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of region bounds")]
-    fn out_of_bounds_addr_panics() {
-        let node = MemoryNode::new(1 << 20);
-        let r = node.register(4096, false).expect("fits");
-        let _ = r.addr(4096);
     }
 }

@@ -95,11 +95,6 @@ impl AddressSpace {
         }
     }
 
-    /// The lock model in force.
-    pub fn lock_model(&self) -> VmaLockModel {
-        self.lock_model
-    }
-
     /// Maps a new region of `pages` pages, assigning it a directly-mapped
     /// remote backing range, and returns the VMA.
     pub fn mmap(&mut self, pages: u64) -> Vma {
@@ -135,16 +130,6 @@ impl AddressSpace {
             }
         }
     }
-
-    /// Total mapped pages.
-    pub fn mapped_pages(&self) -> u64 {
-        self.vmas.values().map(|v| v.pages).sum()
-    }
-
-    /// Iterates over the VMAs in address order.
-    pub fn vmas(&self) -> impl Iterator<Item = &Vma> {
-        self.vmas.values()
-    }
 }
 
 #[cfg(test)]
@@ -164,7 +149,6 @@ mod tests {
         assert!(asp.find(a.start_vpn + 99).is_some());
         assert!(asp.find(a.start_vpn + 100).is_none(), "guard gap unmapped");
         assert_eq!(asp.find(b.start_vpn).unwrap().pages, 50);
-        assert_eq!(asp.mapped_pages(), 150);
     }
 
     #[test]

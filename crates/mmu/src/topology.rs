@@ -61,7 +61,7 @@ impl Topology {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn socket_of(&self, core: CoreId) -> u32 {
+    fn socket_of(&self, core: CoreId) -> u32 {
         assert!(core.0 < self.total_cores(), "core {core:?} out of range");
         core.0 / self.cores_per_socket
     }

@@ -136,7 +136,6 @@ struct ExecCore {
     /// waker" from a wrapped one via `will_wake`.
     current_waker: RefCell<Option<Rc<Waker>>>,
     timer_seq: Cell<u64>,
-    live_tasks: Cell<usize>,
     drain_buf: RefCell<Vec<TaskId>>,
     /// Scratch for timer fire batches.
     fire_buf: RefCell<Vec<TimerTarget>>,
@@ -167,7 +166,6 @@ impl ExecCore {
             wheel: RefCell::new(TimerWheel::new()),
             current_waker: RefCell::new(None),
             timer_seq: Cell::new(0),
-            live_tasks: Cell::new(0),
             drain_buf: RefCell::new(Vec::new()),
             fire_buf: RefCell::new(Vec::new()),
             pick_buf: RefCell::new(Vec::new()),
@@ -280,7 +278,6 @@ impl ExecCore {
         if let Some(det) = &race {
             det.task_begin(id as u64, fork_sync);
         }
-        self.live_tasks.set(self.live_tasks.get() + 1);
         self.push_ready(&mut self.tasks.borrow_mut(), id);
         (id, join_sync)
     }
@@ -404,7 +401,6 @@ impl ExecCore {
                 }
                 self.tasks.borrow_mut()[id] = None;
                 self.free_ids.borrow_mut().push(id);
-                self.live_tasks.set(self.live_tasks.get() - 1);
             }
             Poll::Pending => {
                 // The task may have been re-woken while it was being
@@ -550,11 +546,6 @@ impl SimHandle {
             race: self.core.race.borrow().clone(),
             race_join,
         }
-    }
-
-    /// Number of tasks that have been spawned and not yet completed.
-    pub fn live_tasks(&self) -> usize {
-        self.core.live_tasks.get()
     }
 
     /// The simulation's lock-order registry (see [`crate::lockdep`]).
@@ -734,14 +725,8 @@ impl Simulation {
         self.handle.core.now.get()
     }
 
-    /// Runs until `deadline`, or earlier if the simulation drains.
-    pub fn run_until(&self, deadline: SimTime) -> SimTime {
-        self.handle.core.run(Some(deadline), &|| false, None);
-        self.handle.core.now.get()
-    }
-
-    /// Like [`Simulation::run`]/[`Simulation::run_until`], but performs
-    /// at most `max_polls` task polls, so a runaway schedule (livelock,
+    /// Like [`Simulation::run`], but stops at `deadline` (if any) and
+    /// performs at most `max_polls` task polls, so a runaway schedule (livelock,
     /// starvation loop) cannot hang the caller. The returned
     /// [`RunProgress`] says how far the run got and whether it drained
     /// (`completed`) or hit the budget.
@@ -931,7 +916,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_deadline() {
+    fn run_bounded_stops_at_deadline() {
         let sim = Simulation::new();
         let h = sim.handle();
         let flag = Rc::new(Cell::new(false));
@@ -940,8 +925,8 @@ mod tests {
             h.sleep(1_000_000).await;
             flag2.set(true);
         });
-        let t = sim.run_until(SimTime::from_nanos(500));
-        assert_eq!(t.as_nanos(), 500);
+        let p = sim.run_bounded(Some(SimTime::from_nanos(500)), u64::MAX);
+        assert_eq!(p.now.as_nanos(), 500);
         assert!(!flag.get());
         sim.run();
         assert!(flag.get());
@@ -964,17 +949,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(&*log.borrow(), &[(0, 0), (1, 0), (0, 1), (1, 1)]);
-    }
-
-    #[test]
-    fn live_tasks_tracks_completion() {
-        let sim = Simulation::new();
-        let h = sim.handle();
-        assert_eq!(h.live_tasks(), 0);
-        sim.spawn(async {});
-        assert_eq!(h.live_tasks(), 1);
-        sim.run();
-        assert_eq!(h.live_tasks(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! - a single-threaded, deterministic async **executor** over *virtual time*
 //!   ([`Simulation`], [`SimHandle`]),
 //! - virtual-time **synchronization primitives** that record contention
-//!   statistics ([`sync::SimMutex`], [`sync::Semaphore`], [`sync::Event`],
+//!   statistics ([`sync::SimMutex`], [`sync::Semaphore`],
 //!   [`sync::WaitQueue`]),
 //! - a **statistics** library with counters, time aggregates and
 //!   log-bucketed latency histograms ([`stats`]), with snapshot/delta

@@ -3,7 +3,7 @@
 //!
 //! [`Histogram`] is a log-bucketed (HDR-style) histogram with bounded
 //! relative error, used for every latency distribution reported by the
-//! benchmark harness (p50/p99/p999 fault latencies, shootdown latencies,
+//! benchmark harness (p50/p99 fault latencies, shootdown latencies,
 //! request sojourn times).
 //!
 //! Every stat type supports **measurement windows**: `snapshot()` captures
@@ -317,11 +317,6 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// 99.9th percentile.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&self, other: &Histogram) {
         for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
@@ -434,11 +429,6 @@ impl HistogramDelta {
     /// 99th percentile.
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// 99.9th percentile.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
     }
 }
 
@@ -648,7 +638,6 @@ mod tests {
         assert_eq!(d.mean().to_bits(), h.mean().to_bits());
         assert_eq!(d.p50(), h.p50());
         assert_eq!(d.p99(), h.p99());
-        assert_eq!(d.p999(), h.p999());
         assert_eq!(d.quantile(1.0), h.quantile(1.0));
     }
 

@@ -386,7 +386,7 @@ impl Semaphore {
     }
 
     /// Attempts to take `need` permits without waiting.
-    pub fn try_acquire(&self, need: u64) -> bool {
+    fn try_acquire(&self, need: u64) -> bool {
         if self.waiters.borrow().is_empty() && self.permits.get() >= need {
             self.permits.set(self.permits.get() - need);
             self.stats.record_acquire(0, 0);
@@ -592,45 +592,6 @@ impl Future for Wait {
     }
 }
 
-/// An edge-triggered event with a stored permit (like `tokio::sync::Notify`).
-///
-/// `notify` before `wait` is not lost: the next `wait` completes
-/// immediately. Used to kick background evictors when a watermark is
-/// crossed.
-#[derive(Default)]
-pub struct Event {
-    permit: Cell<bool>,
-    queue: WaitQueue,
-    /// Simsan sync carrying the stored-permit edge (`notify` with no
-    /// waiter → later `wait` consuming the permit); direct wakes take
-    /// the per-waiter edge inside `queue` instead.
-    race_sync: Cell<u32>,
-}
-
-impl Event {
-    /// Creates an event with no stored permit.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Stores a permit and wakes one waiter if present.
-    pub fn notify(&self) {
-        if !self.queue.wake_one() {
-            race::edge(&self.race_sync, |det, s| det.release(s));
-            self.permit.set(true);
-        }
-    }
-
-    /// Waits for a notification (consumes a stored permit if present).
-    pub async fn wait(&self) {
-        if self.permit.replace(false) {
-            race::edge(&self.race_sync, |det, s| det.acquire(s));
-            return;
-        }
-        self.queue.wait().await;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -746,15 +707,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(*log.borrow(), vec![0, 1]);
-    }
-
-    #[test]
-    fn event_permit_is_not_lost() {
-        let sim = Simulation::new();
-        let e = Rc::new(Event::new());
-        e.notify();
-        let e2 = Rc::clone(&e);
-        sim.block_on(async move { e2.wait().await });
     }
 
     #[test]

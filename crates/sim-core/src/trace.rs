@@ -155,7 +155,6 @@ impl Tracer {
             cat,
             name,
             start_ns: self.sim.now().as_nanos(),
-            arg: std::cell::Cell::new(None),
         }
     }
 
@@ -253,15 +252,9 @@ pub struct Span {
     cat: &'static str,
     name: &'static str,
     start_ns: Nanos,
-    arg: std::cell::Cell<Option<(&'static str, u64)>>,
 }
 
 impl Span {
-    /// Attaches (or replaces) the span's argument before it closes.
-    pub fn set_arg(&self, key: &'static str, value: u64) {
-        self.arg.set(Some((key, value)));
-    }
-
     /// Closes the span now (equivalent to dropping it).
     pub fn end(self) {}
 }
@@ -275,7 +268,7 @@ impl Drop for Span {
             self.name,
             self.start_ns,
             end.saturating_sub(self.start_ns),
-            self.arg.get(),
+            None,
         );
     }
 }
@@ -306,8 +299,7 @@ mod tests {
             let outer = t.span(3, "fault", "major");
             h.sleep(500).await;
             {
-                let inner = t.span(3, "fault", "fp2.read");
-                inner.set_arg("bytes", 4096);
+                let _inner = t.span(3, "fault", "fp2.read");
                 h.sleep(1_000).await;
             }
             h.sleep(200).await;
@@ -319,7 +311,6 @@ mod tests {
         assert_eq!(ev[0].name, "fp2.read");
         assert_eq!(ev[0].start_ns, 500);
         assert_eq!(ev[0].dur_ns, 1_000);
-        assert_eq!(ev[0].arg, Some(("bytes", 4096)));
         assert_eq!(ev[1].name, "major");
         assert_eq!(ev[1].start_ns, 0);
         assert_eq!(ev[1].dur_ns, 1_700);

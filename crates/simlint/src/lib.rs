@@ -239,7 +239,7 @@ fn collect_rs_files(path: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 
 /// The default scan set: every `crates/*/src` tree in the workspace,
 /// excluding simlint itself (the linter names the constructs it bans).
-pub fn default_scan_roots(workspace_root: &Path) -> io::Result<Vec<PathBuf>> {
+fn default_scan_roots(workspace_root: &Path) -> io::Result<Vec<PathBuf>> {
     let crates_dir = workspace_root.join("crates");
     let mut roots = Vec::new();
     for entry in fs::read_dir(&crates_dir)? {

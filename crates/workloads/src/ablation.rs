@@ -32,13 +32,13 @@ pub const SCHEMA: &str = "mage-bench-policies/v1";
 /// Local-memory fractions swept (the x-axis of the ablation).
 pub const LOCAL_FRACTIONS: [f64; 3] = [0.2, 0.5, 0.8];
 
-/// The policy zoo under ablation. `AgingClock` rides along so the sweep
-/// covers every built-in (the acceptance bar is ≥ 3 policies).
+/// The policy zoo under ablation: the paper's second-chance and FIFO
+/// against two stateful baselines. `Clock` is not in the cube; its
+/// comparison with second-chance is the `ext_replacement` bench.
 pub fn policies() -> Vec<EvictionPolicyKind> {
     vec![
         EvictionPolicyKind::SecondChance,
         EvictionPolicyKind::Fifo,
-        EvictionPolicyKind::AgingClock { hot_rounds: 3 },
         EvictionPolicyKind::ApproxLru,
         EvictionPolicyKind::S3Fifo,
     ]
@@ -51,7 +51,7 @@ pub fn workloads() -> [WorkloadKind; 2] {
 }
 
 /// Stable id of a workload in the report.
-pub fn workload_name(kind: WorkloadKind) -> &'static str {
+fn workload_name(kind: WorkloadKind) -> &'static str {
     match kind {
         WorkloadKind::RandomGraph => "pagerank",
         WorkloadKind::XsBench => "xsbench",
@@ -67,7 +67,7 @@ pub fn workload_name(kind: WorkloadKind) -> &'static str {
 pub struct PolicyCell {
     /// Policy display name (`EvictionPolicyKind::name`).
     pub policy: &'static str,
-    /// Workload id ([`workload_name`]).
+    /// Workload id (`"gups"` or `"pagerank"`).
     pub workload: &'static str,
     /// Fraction of the working set resident locally.
     pub local_frac: f64,

@@ -36,28 +36,12 @@ fn main() {
     multilayer.name = "+MultiLayer";
     multilayer.local_alloc = LocalAllocatorKind::MultiLayer;
 
-    // Victim-selection policy swap on the finished system: the aging
-    // CLOCK grants hot pages extra grace rounds (an EvictionPolicy
-    // implementation selected purely through configuration).
-    let mut aging = multilayer
-        .clone()
-        .with_eviction_policy(EvictionPolicyKind::AgingClock { hot_rounds: 3 });
-    aging.name = "+AgingClock";
-
-    // Policy-zoo swap: S3-FIFO runs the accounting lists as small/main
-    // queues fed by the bounded ghost list (DESIGN.md §12), so pages
-    // re-faulted shortly after eviction skip probation.
-    let mut s3fifo = multilayer
-        .clone()
-        .with_eviction_policy(EvictionPolicyKind::S3Fifo);
-    s3fifo.name = "+S3-FIFO";
-
     println!("Technique ablation, random access, {threads} threads, 30% offloaded\n");
     println!(
         "{:<14} {:>10} {:>12} {:>14} {:>10}",
         "system", "M ops/s", "p99 fault", "sync evicts", "re-faults"
     );
-    for system in [baseline, pipelined, partitioned, multilayer, aging, s3fifo] {
+    for system in [baseline, pipelined, partitioned, multilayer] {
         let name = system.name;
         let mut cfg = RunConfig::new(system, WorkloadKind::RandomGraph, threads, wss, 0.7);
         cfg.ops_per_thread = 6_000;
@@ -71,10 +55,10 @@ fn main() {
             r.re_faults
         );
     }
-    println!("\nEach row adds one technique; the paper's Fig. 17 reports the same");
-    println!("progression (pipelining buys the most, the two contention-avoidance");
-    println!("techniques compound on top). Re-faults count evictions the policy");
-    println!("got wrong (a second major fault paid for the same page); the full");
-    println!("policy x workload x local-fraction cube where S3-FIFO earns its");
-    println!("keep is BENCH_policies.json (cargo run -p mage-bench --bin policies).");
+    println!("\nEach row adds one technique, as in the paper's Fig. 17. In this");
+    println!("model the multi-layer allocator is the jump: with pipelining and");
+    println!("the partitioned lists alone, throughput stays below the baseline");
+    println!("and the fault p99 rises; the allocator brings both back. Policy");
+    println!("comparisons are BENCH_policies.json");
+    println!("(cargo run -p mage-bench --bin policies).");
 }

@@ -56,7 +56,7 @@ fn committed_reports_validate_and_round_trip() {
         (
             "BENCH_policies.json",
             |j| ablation::validate_report(j).map(|r| r.len()),
-            30,
+            24,
         ),
     ];
     for (path, validate, rows) in reports {
@@ -146,7 +146,7 @@ fn validators_enforce_their_schema_rules() {
     assert!(
         ablation::validate_report(&dropped)
             .unwrap_err()
-            .contains("expected 30 cells"),
+            .contains("expected 24 cells"),
         "cube incomplete"
     );
     let duplicated = policies.replace("\"policy\": \"fifo\"", "\"policy\": \"s3-fifo\"");
@@ -155,7 +155,7 @@ fn validators_enforce_their_schema_rules() {
         .contains("appears"));
     let rate = rewrite(
         &policies,
-        "\"aging-clock\", \"workload\": \"gups\", \"local_frac\": 0.20",
+        "\"approx-lru\", \"workload\": \"gups\", \"local_frac\": 0.20",
         "re_fault_rate",
         "1.5",
     );

@@ -235,7 +235,6 @@ fn every_eviction_policy_is_bit_deterministic() {
         EvictionPolicyKind::SecondChance,
         EvictionPolicyKind::Fifo,
         EvictionPolicyKind::Clock,
-        EvictionPolicyKind::AgingClock { hot_rounds: 3 },
         EvictionPolicyKind::S3Fifo,
         EvictionPolicyKind::ApproxLru,
     ];

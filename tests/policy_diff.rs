@@ -13,12 +13,11 @@ use mage_far_memory::mmu::Topology;
 use mage_far_memory::prelude::*;
 use mage_far_memory::sim::rng;
 
-fn zoo() -> [EvictionPolicyKind; 6] {
+fn zoo() -> [EvictionPolicyKind; 5] {
     [
         EvictionPolicyKind::SecondChance,
         EvictionPolicyKind::Fifo,
         EvictionPolicyKind::Clock,
-        EvictionPolicyKind::AgingClock { hot_rounds: 3 },
         EvictionPolicyKind::S3Fifo,
         EvictionPolicyKind::ApproxLru,
     ]

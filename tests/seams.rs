@@ -7,6 +7,7 @@ use std::rc::Rc;
 
 use mage_far_memory::engine::backend::{FarBackend, LocalBoxFuture, RdmaBackend};
 use mage_far_memory::engine::reclaim::EvictionPolicy;
+use mage_far_memory::engine::RemoteAllocKind;
 use mage_far_memory::mmu::{PageTable, Topology, Vma};
 use mage_far_memory::prelude::*;
 
@@ -77,7 +78,6 @@ fn every_policy_preserves_invariants() {
         EvictionPolicyKind::SecondChance,
         EvictionPolicyKind::Fifo,
         EvictionPolicyKind::Clock,
-        EvictionPolicyKind::AgingClock { hot_rounds: 3 },
         EvictionPolicyKind::S3Fifo,
         EvictionPolicyKind::ApproxLru,
     ];
@@ -135,37 +135,40 @@ fn policy_swap_conserves_accesses() {
     assert_eq!(totals[0], totals[1], "access count is policy-independent");
 }
 
-/// Both shipped backends drive the engine end-to-end; the disaggregated
-/// tier additionally must re-write clean pages (pooled slots) and pay the
-/// switch hop on reads.
+/// The shipped RDMA backend drives the engine end-to-end through the
+/// backend seam.
 #[test]
 fn backend_swap_preserves_invariants() {
-    for (kind, expect_name) in [
-        (BackendKind::Rdma, "rdma"),
-        (BackendKind::DisaggTier { hop_ns: 1_000 }, "disagg-tier"),
-    ] {
-        let system = SystemConfig::mage_lib().with_backend_kind(kind);
-        let (sim, engine, vma) = launch(system, 33);
-        assert_eq!(engine.backend().name(), expect_name);
-        churn(&sim, &engine, &vma);
-        assert_safe(&engine, &vma, expect_name);
-    }
+    let system = SystemConfig::mage_lib().with_backend_kind(BackendKind::Rdma);
+    let (sim, engine, vma) = launch(system, 33);
+    assert_eq!(engine.backend().name(), "rdma");
+    churn(&sim, &engine, &vma);
+    assert_safe(&engine, &vma, "rdma");
 }
 
-/// The disaggregated tier forces writebacks for clean pages; under the
-/// same run the RDMA direct-map backend reclaims clean pages for free.
+/// Swap-slot placement hands out a fresh slot on every eviction, so the
+/// backend reports `writes_clean_pages()` and the engine must write clean
+/// pages back; under the same read-only run VMA direct mapping keeps the
+/// old remote copy valid and reclaims clean pages for free.
 #[test]
-fn disagg_tier_rewrites_clean_pages() {
+fn swap_slots_rewrite_clean_pages() {
     let mut clean_reclaims = Vec::new();
-    for kind in [BackendKind::Rdma, BackendKind::DisaggTier { hop_ns: 500 }] {
-        let system = SystemConfig::mage_lib().with_backend_kind(kind);
+    let mut writebacks = Vec::new();
+    for remote_alloc in [RemoteAllocKind::DirectMap, RemoteAllocKind::SwapLock] {
+        let system = SystemConfig {
+            remote_alloc,
+            ..SystemConfig::mage_lib()
+        };
         let (sim, engine, vma) = launch(system, 5);
+        assert_eq!(
+            engine.backend().writes_clean_pages(),
+            remote_alloc == RemoteAllocKind::SwapLock
+        );
         let e = Rc::clone(&engine);
         sim.block_on(async move {
             // Read-only traffic: pages stay clean after their first
             // writeback, so direct mapping can skip re-writing them.
-            for round in 0..3 {
-                let _ = round;
+            for _round in 0..3 {
                 for i in 0..vma.pages {
                     e.access(CoreId((i % 4) as u32), vma.start_vpn + i, false).await;
                 }
@@ -173,6 +176,7 @@ fn disagg_tier_rewrites_clean_pages() {
         });
         engine.shutdown();
         clean_reclaims.push(engine.stats().clean_reclaims.get());
+        writebacks.push(engine.stats().writebacks.get());
     }
     assert!(
         clean_reclaims[0] > 0,
@@ -180,7 +184,11 @@ fn disagg_tier_rewrites_clean_pages() {
     );
     assert_eq!(
         clean_reclaims[1], 0,
-        "pooled slots invalidate the old copy: every eviction writes"
+        "swap slots invalidate the old copy: every eviction writes"
+    );
+    assert!(
+        writebacks[1] > writebacks[0],
+        "swap slots must write back more: {writebacks:?}"
     );
 }
 
