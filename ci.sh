@@ -42,6 +42,9 @@ echo "==> perfbench build (the repo benchmark, its own workspace)"
 # every test here and still break the benchmark.
 cargo build --offline --release --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench tests (digest equals run_batch's, guarding the MetricsWindow seam)"
+cargo test --offline --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo build --examples"
 cargo build --examples
 
@@ -68,10 +71,6 @@ cargo run -p simlint
 echo "==> simlint self-check (fixtures must fail)"
 if cargo run -q -p simlint -- crates/simlint/fixtures/violations.rs >/dev/null 2>&1; then
     echo "error: simlint accepted the seeded violation fixture" >&2
-    exit 1
-fi
-if cargo run -q -p simlint -- crates/simlint/fixtures/stats_missing.rs >/dev/null 2>&1; then
-    echo "error: simlint accepted the unregistered-stat fixture" >&2
     exit 1
 fi
 if cargo run -q -p simlint -- crates/simlint/fixtures/hotpath/executor.rs >/dev/null 2>&1; then

@@ -116,10 +116,7 @@ fn no_stale_tlb(ctx: &CheckCtx) -> Option<Violation> {
 /// evicted / sync-evicted / cancelled / requeued.
 fn settlement(ctx: &CheckCtx) -> Option<Violation> {
     let s = ctx.engine.stats();
-    let settled = s.evicted_pages.get()
-        + s.sync_evicted_pages.get()
-        + s.evict_cancelled_pages.get()
-        + s.requeued_victims.get();
+    let settled = s.settled_pages();
     let unmapped = s.unmapped_pages.get();
     if settled > unmapped {
         return Some(Violation::Settlement { settled, unmapped });

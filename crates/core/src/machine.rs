@@ -281,11 +281,13 @@ impl FarMemory {
     }
 
     /// The composed stat registry over every source this machine owns
-    /// (engine, NIC, interrupts, accounting); the entry point for
-    /// snapshot-delta measurement windows.
+    /// (engine, fault breakdown, NIC, interrupts, accounting,
+    /// replication); the entry point for snapshot-delta measurement
+    /// windows.
     pub fn metrics(&self) -> MetricsRegistry<'_> {
         MetricsRegistry {
             engine: &self.stats,
+            breakdown: &self.stats.breakdown,
             nic: self.backend.link().stats(),
             interrupts: self.ic.stats(),
             accounting: self.acct.stats(),

@@ -171,12 +171,9 @@ mod tests {
         });
         engine.shutdown();
         let s = engine.stats();
-        // Each unmapped page settles as exactly one of evicted,
-        // sync-evicted or cancelled-at-finalize (a fault-side cancel is
+        // Each unmapped page settles once (a fault-side cancel is
         // observed by its owning batch as a cancelled page later).
-        let settled = s.evicted_pages.get()
-            + s.sync_evicted_pages.get()
-            + s.evict_cancelled_pages.get();
+        let settled = s.settled_pages();
         let unmapped = s.unmapped_pages.get();
         assert!(unmapped > 0);
         assert!(settled <= unmapped, "settled {settled} > unmapped {unmapped}");

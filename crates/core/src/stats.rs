@@ -27,19 +27,6 @@ pub struct FaultBreakdown {
     pub other: RefCell<TimeStat>,
 }
 
-impl FaultBreakdown {
-    /// Mean of one component in ns.
-    pub fn means(&self) -> BreakdownMeans {
-        BreakdownMeans {
-            rdma: self.rdma.borrow().mean(),
-            tlb: self.tlb.borrow().mean(),
-            accounting: self.accounting.borrow().mean(),
-            circulation: self.circulation.borrow().mean(),
-            other: self.other.borrow().mean(),
-        }
-    }
-}
-
 /// Snapshot of mean per-fault component latencies (ns).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct BreakdownMeans {
@@ -94,9 +81,8 @@ pub struct EngineStats {
     pub eviction_batches: Counter,
     /// Time faulting threads spent waiting for free pages, ns.
     pub free_wait: RefCell<TimeStat>,
-    /// Pages unmapped by the eviction machinery (each later settles as
-    /// exactly one of `evicted_pages`, `sync_evicted_pages` or
-    /// `evict_cancelled_pages`).
+    /// Pages unmapped by the eviction machinery (each later settles
+    /// once; see [`EngineStats::settled_pages`]).
     pub unmapped_pages: Counter,
     /// Faults that cancelled an in-flight eviction of the same page
     /// (swap-cache-refault semantics).
@@ -139,6 +125,18 @@ impl EngineStats {
     // is exactly the bug class measurement windows remove. Take a
     // `MetricsSnapshot` via `FarMemory::metrics` and compute a window.
 
+    /// Unmapped pages whose eviction has settled, as exactly one of
+    /// evicted, sync-evicted, cancelled by a refault, or requeued after a
+    /// failed writeback. The settlement identity is
+    /// `settled_pages() <= unmapped_pages`; the gap is pages still in
+    /// flight.
+    pub fn settled_pages(&self) -> u64 {
+        self.evicted_pages.get()
+            + self.sync_evicted_pages.get()
+            + self.evict_cancelled_pages.get()
+            + self.requeued_victims.get()
+    }
+
     /// Records a major fault's total latency and residual component.
     pub fn record_fault(&self, total: Nanos, accounted: Nanos) {
         self.major_faults.inc();
@@ -160,8 +158,16 @@ mod tests {
         s.breakdown.rdma.borrow_mut().record(3_900);
         s.breakdown.circulation.borrow_mut().record(100);
         s.record_fault(5_000, 4_000);
-        let m = s.breakdown.means();
+        let b = &s.breakdown;
+        let m = BreakdownMeans {
+            rdma: b.rdma.borrow().mean(),
+            tlb: b.tlb.borrow().mean(),
+            accounting: b.accounting.borrow().mean(),
+            circulation: b.circulation.borrow().mean(),
+            other: b.other.borrow().mean(),
+        };
         assert!((m.rdma - 3_900.0).abs() < 1e-9);
+        assert!((m.circulation - 100.0).abs() < 1e-9);
         assert!((m.other - 1_000.0).abs() < 1e-9);
         assert!((m.total() - 5_000.0).abs() < 1e-9);
         assert_eq!(s.major_faults.get(), 1);

@@ -379,7 +379,7 @@ pub struct HistogramSnapshot {
 }
 
 /// The samples a [`Histogram`] recorded after a snapshot was taken.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HistogramDelta {
     buckets: Vec<u64>,
     stat: TimeStatDelta,

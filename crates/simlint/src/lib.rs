@@ -22,18 +22,9 @@
 //! | `hash-collection` | `HashMap` / `HashSet` | iteration order varies per process (random SipHash keys); use `BTreeMap`/`BTreeSet` or sorted iteration |
 //! | `std-sync` | `std::sync::{Mutex, RwLock, …}`, atomics | host-level blocking invisible to virtual time; use `SimMutex`/`Semaphore` |
 //! | `unseeded-rng` | RNG constructors without a `seed` parameter | every stochastic component must be replayable from its seed |
-//! | `stats-registration` | stat fields missing from `MetricsRegistry::snapshot` | an unregistered counter escapes measurement windows and silently keeps warmup samples |
 //! | `hot-path` | `BTreeMap` / `BTreeSet` in `executor.rs`, `tlb.rs`, `machine.rs` | ordered maps on the per-poll/per-access/per-page paths cost pointer chases the slab refactor removed (DESIGN.md §11); use `Slab`/`PageMap`/`TimerWheel` |
 //!
-//! All rules except `stats-registration` are per-file token passes.
-//! `stats-registration` is a cross-file pass over the whole scanned set:
-//! every `Counter`/`TimeStat`/`Histogram` field declared in the
-//! monitored stats structs (`EngineStats`, `FaultBreakdown`, `NicStats`,
-//! `IpiStats`, `AccountingStats`) must be referenced in a *registry
-//! anchor* — a scanned file that mentions both `MetricsRegistry` and
-//! `snapshot`. When the scanned set contains no anchor at all (a single
-//! crate without the metrics façade) the rule is silent rather than
-//! flagging every field.
+//! Every rule is a per-file token pass.
 //!
 //! ## Escape hatch
 //!
@@ -75,8 +66,6 @@ pub enum Rule {
     StdSync,
     /// Public RNG constructor without an explicit seed parameter.
     UnseededRng,
-    /// A stat field not captured by `MetricsRegistry::snapshot`.
-    StatsRegistration,
     /// `BTreeMap` / `BTreeSet` in a designated hot-path file.
     HotPath,
     /// An `allow` directive without a justification.
@@ -93,7 +82,6 @@ impl Rule {
             Rule::HashCollection => "hash-collection",
             Rule::StdSync => "std-sync",
             Rule::UnseededRng => "unseeded-rng",
-            Rule::StatsRegistration => "stats-registration",
             Rule::HotPath => "hot-path",
             Rule::BareAllow => "bare-allow",
         }
@@ -120,9 +108,6 @@ impl Rule {
             Rule::UnseededRng => {
                 "RNG constructors must take an explicit seed so every stochastic component is replayable"
             }
-            Rule::StatsRegistration => {
-                "stat fields outside MetricsRegistry::snapshot escape measurement windows and keep warmup samples"
-            }
             Rule::HotPath => {
                 "ordered maps on the simulator's hot paths regressed events/sec; use the slab/PageMap/TimerWheel indexes (DESIGN.md §11)"
             }
@@ -139,7 +124,6 @@ impl Rule {
             Rule::HashCollection,
             Rule::StdSync,
             Rule::UnseededRng,
-            Rule::StatsRegistration,
             Rule::HotPath,
             Rule::BareAllow,
         ]
@@ -184,22 +168,9 @@ pub struct AllowDirective {
     pub justified: bool,
 }
 
-/// Lints a batch of lexed files together: the per-file rules on each,
-/// then the cross-file `stats-registration` pass over the whole set.
-fn lint_batch(files: &[(PathBuf, lexer::Lexed)]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (path, lexed) in files {
-        out.extend(rules::check(path, lexed));
-    }
-    out.extend(rules::stats_registration(files));
-    out
-}
-
-/// Lints one source string; `file` is used only for reporting. The
-/// cross-file `stats-registration` pass sees only this file, so an
-/// anchor-less source skips it.
+/// Lints one source string; `file` is used only for reporting.
 pub fn lint_source(file: &Path, src: &str) -> Vec<Violation> {
-    lint_batch(&[(file.to_path_buf(), lexer::lex(src))])
+    rules::check(file, &lexer::lex(src))
 }
 
 /// Lints one `.rs` file.
@@ -209,18 +180,21 @@ pub fn lint_file(path: &Path) -> io::Result<Vec<Violation>> {
 }
 
 /// Recursively lints every `.rs` file under `root` (or `root` itself if
-/// it is a file), as one batch: files are visited in sorted order so
-/// reports are stable, and the cross-file pass sees the whole tree.
+/// it is a file), visiting files in sorted order so reports are stable.
 pub fn lint_tree(root: &Path) -> io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
+    lint_files(files)
+}
+
+/// Lints `files` in sorted order.
+fn lint_files(mut files: Vec<PathBuf>) -> io::Result<Vec<Violation>> {
     files.sort();
-    let mut lexed = Vec::new();
+    let mut out = Vec::new();
     for f in files {
-        let src = fs::read_to_string(&f)?;
-        lexed.push((f, lexer::lex(&src)));
+        out.extend(lint_file(&f)?);
     }
-    Ok(lint_batch(&lexed))
+    Ok(out)
 }
 
 fn collect_rs_files(path: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
@@ -253,23 +227,14 @@ fn default_scan_roots(workspace_root: &Path) -> io::Result<Vec<PathBuf>> {
             roots.push(src);
         }
     }
-    roots.sort();
     Ok(roots)
 }
 
-/// Lints the whole workspace's simulation crates as ONE batch, so the
-/// cross-file `stats-registration` pass sees the stats structs of every
-/// crate against the registry anchor in `crates/core`.
+/// Lints every `crates/*/src` tree of the workspace except simlint's own.
 pub fn lint_workspace(workspace_root: &Path) -> io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     for root in default_scan_roots(workspace_root)? {
         collect_rs_files(&root, &mut files)?;
     }
-    files.sort();
-    let mut lexed = Vec::new();
-    for f in files {
-        let src = fs::read_to_string(&f)?;
-        lexed.push((f, lexer::lex(&src)));
-    }
-    Ok(lint_batch(&lexed))
+    lint_files(files)
 }

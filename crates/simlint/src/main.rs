@@ -1,11 +1,9 @@
 //! CLI for simlint: `cargo run -p simlint [paths...]`.
 //!
 //! With no arguments, lints every `crates/*/src` tree of the workspace
-//! this binary was built from as ONE batch, so the cross-file
-//! `stats-registration` pass sees every crate's stats structs against
-//! the registry anchor in `crates/core`. With arguments, lints exactly
-//! those files or directories (used by the fixture tests), each as its
-//! own batch. Exits non-zero iff any violation is found.
+//! this binary was built from. With arguments, lints exactly those files
+//! or directories (used by the fixture tests). Exits non-zero iff any
+//! violation is found.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;

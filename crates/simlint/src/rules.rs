@@ -1,7 +1,6 @@
 //! The lint rules, as passes over the token stream.
 
-use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::lexer::{Lexed, Token};
 use crate::{Rule, Violation};
@@ -11,22 +10,6 @@ use crate::{Rule, Violation};
 const FORBIDDEN_SYNC: &[&str] = &[
     "Mutex", "RwLock", "Condvar", "Barrier", "Once", "OnceLock", "OnceCell", "mpsc", "atomic", "*",
 ];
-
-/// Stats structs whose measurement fields must all be reachable from
-/// `MetricsRegistry::snapshot`. A counter missing from the snapshot
-/// silently escapes the measurement windows (the PR 5 bug class: it
-/// keeps warmup samples and ignores tail censoring).
-const STATS_STRUCTS: &[&str] = &[
-    "EngineStats",
-    "FaultBreakdown",
-    "NicStats",
-    "IpiStats",
-    "AccountingStats",
-];
-
-/// Field types that carry measurement state (possibly nested in a
-/// wrapper, e.g. `RefCell<TimeStat>`).
-const STAT_FIELD_TYPES: &[&str] = &["Counter", "TimeStat", "Histogram"];
 
 /// Files on the simulator's measured hot paths (the per-poll executor
 /// loop, the per-access TLB probe, the per-page engine maps), where
@@ -400,154 +383,6 @@ fn unseeded_ctor(toks: &[Token], i: usize) -> Option<Violation> {
     })
 }
 
-/// One `Counter`/`TimeStat`/`Histogram` field declared in a monitored
-/// stats struct.
-struct StatField {
-    /// The declaring struct's name.
-    strukt: &'static str,
-    /// Field identifier.
-    name: String,
-    /// The stat type that matched inside the field's type tokens.
-    ty: String,
-    /// 1-based line of the field name.
-    line: u32,
-    /// Index of the field-name token in the file's token stream.
-    token_idx: usize,
-}
-
-/// Scans a token stream for stat fields of the monitored structs.
-fn stat_fields(toks: &[Token]) -> Vec<StatField> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        let is_struct = toks[i].is_ident && toks[i].text == "struct";
-        let strukt = is_struct
-            .then(|| toks.get(i + 1))
-            .flatten()
-            .filter(|t| t.is_ident)
-            .and_then(|t| STATS_STRUCTS.iter().find(|&&s| s == t.text).copied());
-        let Some(strukt) = strukt else {
-            i += 1;
-            continue;
-        };
-        // Find the body's opening brace; bail on tuple/unit structs.
-        let mut j = i + 2;
-        while j < toks.len() && !matches!(toks[j].text.as_str(), "{" | ";" | "(") {
-            j += 1;
-        }
-        if toks.get(j).map(|t| t.text.as_str()) != Some("{") {
-            i = j;
-            continue;
-        }
-        j += 1;
-        let mut brace = 1i32;
-        while j < toks.len() && brace > 0 {
-            match toks[j].text.as_str() {
-                "{" => brace += 1,
-                "}" => brace -= 1,
-                // A field is `name :` at body depth (the lexer merges
-                // `::` into one token, so a lone `:` is a real colon).
-                ":" if brace == 1 && j > 0 && toks[j - 1].is_ident => {
-                    let name_idx = j - 1;
-                    // Scan the type until a `,` (or the closing brace)
-                    // at zero bracket nesting — `BTreeMap<K, V>` commas
-                    // must not end the field early.
-                    let mut nest = 0i32;
-                    let mut k = j + 1;
-                    let mut ty_hit: Option<String> = None;
-                    while k < toks.len() {
-                        match toks[k].text.as_str() {
-                            "<" | "(" | "[" => nest += 1,
-                            ">" | ")" | "]" => nest -= 1,
-                            "," | "}" if nest <= 0 => break,
-                            t if toks[k].is_ident && STAT_FIELD_TYPES.contains(&t) => {
-                                ty_hit.get_or_insert_with(|| t.to_string());
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    if let Some(ty) = ty_hit {
-                        out.push(StatField {
-                            strukt,
-                            name: toks[name_idx].text.clone(),
-                            ty,
-                            line: toks[name_idx].line,
-                            token_idx: name_idx,
-                        });
-                    }
-                    j = k;
-                    continue;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        i = j;
-    }
-    out
-}
-
-/// The cross-file `stats-registration` pass: every stat field declared
-/// in a monitored struct must be referenced (by field name) in a
-/// *registry anchor* — a file in the batch mentioning both
-/// `MetricsRegistry` and `snapshot`. Batches with no anchor at all are
-/// skipped: a lone crate without the metrics façade has nothing to
-/// register against.
-pub fn stats_registration(files: &[(PathBuf, Lexed)]) -> Vec<Violation> {
-    let decls: Vec<Vec<StatField>> = files.iter().map(|(_, l)| stat_fields(&l.tokens)).collect();
-
-    // Idents visible from anchors. A field's own declaration inside an
-    // anchor file does not count as a reference — exclude those exact
-    // tokens, so declaring a struct next to the registry cannot
-    // vacuously satisfy the rule.
-    let mut registered: BTreeSet<&str> = BTreeSet::new();
-    let mut any_anchor = false;
-    for ((_, lexed), fields) in files.iter().zip(&decls) {
-        let has = |name: &str| lexed.tokens.iter().any(|t| t.is_ident && t.text == name);
-        if !has("MetricsRegistry") || !has("snapshot") {
-            continue;
-        }
-        any_anchor = true;
-        let decl_idx: BTreeSet<usize> = fields.iter().map(|f| f.token_idx).collect();
-        for (idx, t) in lexed.tokens.iter().enumerate() {
-            if t.is_ident && !decl_idx.contains(&idx) {
-                registered.insert(&t.text);
-            }
-        }
-    }
-    if !any_anchor {
-        return Vec::new();
-    }
-
-    let mut out = Vec::new();
-    for ((path, lexed), fields) in files.iter().zip(&decls) {
-        for f in fields {
-            if registered.contains(f.name.as_str()) {
-                continue;
-            }
-            let allowed = lexed.allows.iter().any(|a| {
-                a.justified
-                    && a.rule == Rule::StatsRegistration.name()
-                    && (a.line == f.line || a.line + 1 == f.line)
-            });
-            if allowed {
-                continue;
-            }
-            out.push(Violation {
-                file: path.clone(),
-                line: f.line,
-                rule: Rule::StatsRegistration,
-                message: format!(
-                    "{} field `{}.{}` is never captured by MetricsRegistry::snapshot",
-                    f.ty, f.strukt, f.name
-                ),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -690,68 +525,5 @@ mod tests {
     #[test]
     fn violations_in_comments_and_strings_ignored() {
         assert!(rules_hit("// std::thread::spawn\nlet s = \"HashMap\";").is_empty());
-    }
-
-    /// Batch-lints named in-memory files (for the cross-file rule).
-    fn batch(files: &[(&str, &str)]) -> Vec<Violation> {
-        let lexed: Vec<_> = files
-            .iter()
-            .map(|(name, src)| (PathBuf::from(name), crate::lexer::lex(src)))
-            .collect();
-        stats_registration(&lexed)
-    }
-
-    const REGISTRY: &str = "pub struct MetricsRegistry;\nimpl MetricsRegistry {\n pub fn snapshot(&self) -> u64 { self.engine.hits.get() }\n}";
-
-    #[test]
-    fn stats_registration_flags_an_orphan_field() {
-        let stats = "pub struct EngineStats {\n pub hits: Counter,\n pub orphan_counter: Counter,\n}";
-        let hits = batch(&[("stats.rs", stats), ("metrics.rs", REGISTRY)]);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].rule, Rule::StatsRegistration);
-        assert_eq!(hits[0].line, 3);
-        assert!(hits[0].message.contains("EngineStats.orphan_counter"), "{}", hits[0].message);
-    }
-
-    #[test]
-    fn stats_registration_sees_wrapped_and_generic_types() {
-        // RefCell<TimeStat> is a stat; a BTreeMap's inner comma must not
-        // truncate the field list; non-stat fields are ignored.
-        let stats = "pub struct EngineStats {\n pub map: BTreeMap<u64, u64>,\n pub wait: RefCell<TimeStat>,\n pub lat: Histogram,\n}";
-        let hits = batch(&[("stats.rs", stats), ("metrics.rs", REGISTRY)]);
-        let named: Vec<_> = hits.iter().map(|v| v.message.clone()).collect();
-        assert_eq!(hits.len(), 2, "{named:?}");
-        assert!(named[0].contains("TimeStat field `EngineStats.wait`"));
-        assert!(named[1].contains("Histogram field `EngineStats.lat`"));
-    }
-
-    #[test]
-    fn stats_registration_is_silent_without_an_anchor() {
-        let stats = "pub struct NicStats { pub orphan: Counter }";
-        assert!(batch(&[("link.rs", stats)]).is_empty());
-    }
-
-    #[test]
-    fn stats_registration_ignores_unmonitored_structs() {
-        let stats = "pub struct ScratchStats { pub orphan: Counter }";
-        assert!(batch(&[("x.rs", stats), ("metrics.rs", REGISTRY)]).is_empty());
-    }
-
-    #[test]
-    fn stats_registration_declaration_in_anchor_does_not_self_satisfy() {
-        // Struct declared in the SAME file as the registry: the field's
-        // own declaration token must not count as a reference.
-        let src = format!(
-            "pub struct EngineStats {{\n pub hits: Counter,\n pub orphan_counter: Counter,\n}}\n{REGISTRY}"
-        );
-        let hits = batch(&[("metrics.rs", &src)]);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].message.contains("orphan_counter"));
-    }
-
-    #[test]
-    fn stats_registration_honors_justified_allow() {
-        let stats = "pub struct EngineStats {\n // simlint: allow(stats-registration): debug-only counter, not an experiment metric\n pub orphan_counter: Counter,\n pub hits: Counter,\n}";
-        assert!(batch(&[("stats.rs", stats), ("metrics.rs", REGISTRY)]).is_empty());
     }
 }

@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use mage::{Access, FarMemory, MachineParams, MetricsWindow, SystemConfig};
+use mage::{Access, FarMemory, MachineParams, SystemConfig};
 use mage_mmu::{CoreId, Topology};
 use mage_sim::rng::SplitMix64;
 use mage_sim::stats::{Counter, Histogram};
@@ -375,43 +375,13 @@ pub fn run_batch(cfg: &RunConfig) -> RunReport {
         .borrow_mut()
         .take()
         .expect("rendezvous captured a start snapshot");
-    let window = engine.metrics().window_since(&start);
-    let faults_per_thread: Vec<u64> = per_thread.iter().map(|&(f, _, _)| f).collect();
-    let phase_switch_ns: Vec<Nanos> = per_thread.iter().map(|&(_, s, _)| s).collect();
-    let mut report = report_from(
-        cfg,
-        &window,
-        runtime_ns,
-        ops_counter.get(),
-        faults_per_thread,
-        phase_switch_ns,
-        timeline,
-        tracer.map(|t| t.to_chrome_json()),
-    );
-    report.executor_polls = sim.polls();
-    report.degraded_pages = engine.backend().degraded_pages();
-    report.pt_nodes = engine.page_table().node_count() as u64;
-    report.replica_entries = engine.backend().replica_entries();
-    report
-}
-
-#[allow(clippy::too_many_arguments)]
-fn report_from(
-    cfg: &RunConfig,
-    w: &MetricsWindow,
-    runtime_ns: Nanos,
-    total_ops: u64,
-    faults_per_thread: Vec<u64>,
-    phase_switch_ns: Vec<Nanos>,
-    timeline: Rc<RefCell<Vec<(Nanos, u64)>>>,
-    trace_json: Option<String>,
-) -> RunReport {
+    let w = engine.metrics().window_since(&start);
     RunReport {
         system: cfg.system.name,
         runtime_ns,
-        total_ops,
+        total_ops: ops_counter.get(),
         major_faults: w.major_faults,
-        faults_per_thread,
+        faults_per_thread: per_thread.iter().map(|&(f, _, _)| f).collect(),
         fault_mean_ns: w.fault_latency.mean(),
         fault_p50_ns: w.fault_latency.p50(),
         fault_p99_ns: w.fault_latency.p99(),
@@ -423,8 +393,8 @@ fn report_from(
         read_gbps: w.read_gbps(runtime_ns),
         write_gbps: w.write_gbps(runtime_ns),
         prefetches: w.prefetches,
-        timeline: timeline.borrow().clone(),
-        phase_switch_ns,
+        timeline: timeline.take(),
+        phase_switch_ns: per_thread.iter().map(|&(_, s, _)| s).collect(),
         evict_cancels: w.evict_cancels,
         free_wait_count: w.free_wait.count(),
         free_wait_mean_ns: w.free_wait.mean(),
@@ -434,13 +404,13 @@ fn report_from(
         requeued_victims: w.requeued_victims,
         failover_reads: w.failover_reads,
         rereplicated_pages: w.rereplicated_pages,
-        degraded_pages: 0,
+        degraded_pages: engine.backend().degraded_pages(),
         re_faults: w.re_faults,
         ghost_hits: w.ghost_hits,
-        trace_json,
-        executor_polls: 0,
-        pt_nodes: 0,
-        replica_entries: 0,
+        trace_json: tracer.map(|t| t.to_chrome_json()),
+        executor_polls: sim.polls(),
+        pt_nodes: engine.page_table().node_count() as u64,
+        replica_entries: engine.backend().replica_entries(),
     }
 }
 

@@ -128,10 +128,7 @@ fn chaos_run(system: SystemConfig, plan: FaultPlan, label: &str, seed: u64) -> C
 
     // (b) Settlement identity with the requeue term.
     let s = engine.stats();
-    let settled = s.evicted_pages.get()
-        + s.sync_evicted_pages.get()
-        + s.evict_cancelled_pages.get()
-        + s.requeued_victims.get();
+    let settled = s.settled_pages();
     assert!(
         settled <= s.unmapped_pages.get(),
         "[{label} seed={seed}] settled {settled} > unmapped {}",

@@ -47,13 +47,11 @@ fn stress(
         }
     });
     engine.shutdown();
-    // Eviction-stats identity: every unmapped page settles as exactly one
-    // of evicted, sync-evicted or cancelled (pages still in flight at
-    // shutdown account for the difference), and a batch can never observe
-    // more cancellations than faults performed.
+    // Eviction-stats identity: every unmapped page settles once (pages
+    // still in flight at shutdown account for the difference), and a
+    // batch can never observe more cancellations than faults performed.
     let s = engine.stats();
-    let settled =
-        s.evicted_pages.get() + s.sync_evicted_pages.get() + s.evict_cancelled_pages.get();
+    let settled = s.settled_pages();
     assert!(
         settled <= s.unmapped_pages.get(),
         "settled {settled} > unmapped {}",

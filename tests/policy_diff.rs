@@ -96,11 +96,9 @@ fn run_policy(
     engine.shutdown();
 
     let s = engine.stats();
-    // Settlement identity: every unmapped page settles as exactly one of
-    // evicted, sync-evicted or cancelled (in-flight pages at shutdown
-    // account for the slack).
-    let settled =
-        s.evicted_pages.get() + s.sync_evicted_pages.get() + s.evict_cancelled_pages.get();
+    // Settlement identity: every unmapped page settles once (in-flight
+    // pages at shutdown account for the slack).
+    let settled = s.settled_pages();
     assert!(
         settled <= s.unmapped_pages.get(),
         "{label}: settled {settled} > unmapped {}",

@@ -57,8 +57,7 @@ fn assert_safe(engine: &Rc<FarMemory>, vma: &Vma, label: &str) {
         "{label}: no eviction progress"
     );
     let s = engine.stats();
-    let settled =
-        s.evicted_pages.get() + s.sync_evicted_pages.get() + s.evict_cancelled_pages.get();
+    let settled = s.settled_pages();
     assert!(
         settled <= s.unmapped_pages.get(),
         "{label}: settled {settled} > unmapped {}",
