@@ -61,6 +61,10 @@ test -s target/quickstart_trace.json || {
 echo "==> example runs (an example that panics fails CI)"
 cargo run -q --release --example swap_backends >/dev/null
 cargo run -q --release --example custom_system >/dev/null
+cargo run -q --release --example colocation >/dev/null
+cargo run -q --release --example graph_analytics >/dev/null
+cargo run -q --release --example memcached_tail_latency >/dev/null
+cargo run -q --release --example phase_change >/dev/null
 
 echo "==> cargo doc --no-deps (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

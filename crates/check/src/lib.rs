@@ -202,7 +202,7 @@ pub struct CheckOptions {
     /// unlocked PTE re-publish only simsan can see, or the skipped backup
     /// repair (which needs `replicate` to exist at all).
     pub planted: Option<PlantedBug>,
-    /// Run every cell on a [`ReplicatedBackend`](mage::ReplicatedBackend)
+    /// Run every cell on a replicated [`FarBackend`](mage::FarBackend)
     /// over two memory nodes with staggered per-node crash windows, and
     /// register the replica-state invariants.
     pub replicate: bool,
@@ -405,9 +405,10 @@ pub fn run_cell(cell: &Cell, opts: &CheckOptions) -> Result<CellReport, Violatio
         let node_plans = (0..nodes)
             .map(|i| FaultPlan::staggered_node_crash(cell.seed, i, nodes, 150_000, 30_000))
             .collect();
-        cfg = cfg.with_node_faults(node_plans).with_replication(ReplicationConfig {
+        cfg = cfg.with_replication(ReplicationConfig {
             nodes,
             repair_poll_ns: 5_000,
+            node_faults: node_plans,
         });
     }
     let cores = (cell.threads + cfg.max_evictors) as u32;

@@ -1,9 +1,9 @@
-//! The far-memory backend seam: where evicted pages live and how bytes
-//! move there.
+//! The far-memory backend: where evicted pages live and how bytes move
+//! there.
 //!
 //! The engine's fault and eviction paths do not talk to a NIC, a memory
 //! node or a slot allocator directly — they go through [`FarBackend`],
-//! which bundles the three concerns every backend must answer:
+//! which bundles three concerns:
 //!
 //! - **data movement** ([`FarBackend::read_page`] / [`FarBackend::write_page`]):
 //!   posting a transfer returns a [`Completion`] future whose resolution
@@ -12,25 +12,21 @@
 //! - **placement** ([`FarBackend::alloc_slot`] / [`FarBackend::release_slot`] /
 //!   [`FarBackend::seed_slot`]): mapping an evicted page to a backend slot,
 //!   either address-derived (VMA direct mapping, §4.2.3) or dynamically
-//!   allocated (swap-style);
+//!   allocated (swap-style), as [`RemoteAllocator`] decides;
 //! - **capacity** ([`FarBackend::node`]): region registration against the
 //!   passive node's exported bytes.
 //!
-//! One implementation ships with the engine: [`RdmaBackend`] (the paper's
-//! testbed — one-sided RDMA to a single passive memory node), optionally
-//! wrapped in [`ReplicatedBackend`]. Other fast swap backends (NVMe,
-//! compressed RAM) are a link-model swap
-//! ([`SystemConfig::with_backend`](crate::config::SystemConfig::with_backend));
-//! a backend with its own placement is a new file implementing this trait
-//! plus a [`BackendKind::Custom`](crate::config::BackendKind) constructor —
-//! no engine edits.
+//! The data plane is the paper's testbed — one-sided RDMA to a passive
+//! memory node (§4.2.3, §6.1). Other fast swap backends (NVMe, compressed
+//! RAM) are a link-model swap
+//! ([`SystemConfig::with_backend`](crate::config::SystemConfig::with_backend)).
+//! With [`SystemConfig::replication`] set, the same backend replicates
+//! every slot across simulated memory nodes (see [`ReplicationConfig`]).
 
 use std::cell::{Cell, RefCell};
-use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 
-use mage_fabric::{Completion, MemoryNode, Nic, NodeId};
+use mage_fabric::{Completion, FaultPlan, MemoryNode, Nic, NodeId};
 use mage_mmu::PAGE_SIZE;
 use mage_palloc::{RemoteAllocator, SwapBitmap};
 use mage_sim::slab::PageMap;
@@ -38,105 +34,7 @@ use mage_sim::stats::Counter;
 use mage_sim::time::Nanos;
 use mage_sim::SimHandle;
 
-use crate::config::{RemoteAllocKind, SystemConfig};
-
-/// A boxed local future, the dyn-compatible shape of the backend's async
-/// placement operations (the simulator is single-threaded, so no `Send`).
-pub type LocalBoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
-
-/// Everything a far-memory backend must provide to the engine.
-pub trait FarBackend {
-    /// Display name (for reports and examples).
-    fn name(&self) -> &'static str;
-
-    /// Posts a one-sided read of `bytes` from far memory; the completion
-    /// resolves when the data has arrived.
-    fn read_page(&self, bytes: u64) -> Completion;
-
-    /// Posts a one-sided write of `bytes` to far memory; the completion
-    /// resolves when the write is durable.
-    fn write_page(&self, bytes: u64) -> Completion;
-
-    /// Resolves the backend slot for an eviction of a page whose VMA
-    /// direct-maps it to `direct_rpn`. Returns `None` when the backend is
-    /// out of capacity (the engine then skips the candidate).
-    fn alloc_slot<'a>(&'a self, direct_rpn: u64) -> LocalBoxFuture<'a, Option<u64>>;
-
-    /// Releases a slot when its page is faulted back in. Direct-mapping
-    /// backends keep the address-derived slot reserved and do nothing.
-    fn release_slot<'a>(&'a self, rpn: u64) -> LocalBoxFuture<'a, ()>;
-
-    /// Synchronously allocates a slot during setup (no virtual time).
-    fn seed_slot(&self, direct_rpn: u64) -> Option<u64>;
-
-    /// Whether clean pages must be written on eviction because their
-    /// previous backend copy is no longer addressable (fresh slot per
-    /// eviction). Direct mapping keeps clean copies valid and skips the
-    /// write.
-    fn writes_clean_pages(&self) -> bool;
-
-    /// The transfer link (bandwidth/latency model and transfer stats).
-    fn link(&self) -> &Rc<Nic>;
-
-    /// The passive node's capacity bookkeeping.
-    fn node(&self) -> &MemoryNode;
-
-    /// Posts a read of `bytes` for the page stored in slot `rpn`.
-    /// Replication-aware backends route the read to a node holding a
-    /// synced replica; plain backends ignore the slot and behave exactly
-    /// like [`FarBackend::read_page`].
-    fn read_page_at(&self, rpn: u64, bytes: u64) -> Completion {
-        let _ = rpn;
-        self.read_page(bytes)
-    }
-
-    /// Posts a write of `bytes` for the page stored in slot `rpn`.
-    /// Replication-aware backends mirror the write to every replica;
-    /// plain backends ignore the slot.
-    fn write_page_at(&self, rpn: u64, bytes: u64) -> Completion {
-        let _ = rpn;
-        self.write_page(bytes)
-    }
-
-    /// After a node-unreachable read failure on slot `rpn`, posts one
-    /// read to an alternate synced, reachable replica if the backend has
-    /// one. `None` (the default, and the only answer for unreplicated
-    /// backends) sends the caller down the ordinary retry path.
-    fn failover_read(&self, rpn: u64, bytes: u64) -> Option<Completion> {
-        let _ = (rpn, bytes);
-        None
-    }
-
-    /// Replica states of slot `rpn` in slot order (primary first), if the
-    /// backend replicates and tracks that slot.
-    fn replica_states(&self, rpn: u64) -> Option<[ReplicaState; 2]> {
-        let _ = rpn;
-        None
-    }
-
-    /// Replication counters, if the backend replicates.
-    fn replication_stats(&self) -> Option<&ReplicationStats> {
-        None
-    }
-
-    /// Number of tracked slots currently carrying at least one degraded
-    /// replica (always 0 for unreplicated backends).
-    fn degraded_pages(&self) -> u64 {
-        0
-    }
-
-    /// Number of slots the backend currently tracks replica state for
-    /// (always 0 for unreplicated backends). Host metadata must stay
-    /// proportional to this — touched slots — never to the largest slot
-    /// number; the sparse-space regression tests assert it.
-    fn replica_entries(&self) -> u64 {
-        0
-    }
-
-    /// Stops background tasks (the re-replication monitor); called once
-    /// from engine shutdown. A no-op for backends without such tasks.
-    fn shutdown(&self) {}
-}
+use crate::config::{PlantedBug, RemoteAllocKind, SystemConfig};
 
 /// State of one replica of one remote page.
 ///
@@ -187,7 +85,7 @@ pub struct ReplicationStats {
 }
 
 /// How remote pages are replicated across simulated memory nodes.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct ReplicationConfig {
     /// Number of memory nodes replicas spread across (clamped to ≥ 2).
     /// Each page keeps two replicas: the primary on node `rpn % nodes`,
@@ -198,6 +96,11 @@ pub struct ReplicationConfig {
     /// outage could fall entirely between two polls and never degrade
     /// the replicas it wiped.
     pub repair_poll_ns: Nanos,
+    /// Per-node fault schedules: `node_faults[i]` governs the replica
+    /// posts targeted at memory node `i` (the node-kill chaos plans).
+    /// Nodes without a plan follow [`SystemConfig::faults`]. Empty by
+    /// default.
+    pub node_faults: Vec<FaultPlan>,
 }
 
 impl Default for ReplicationConfig {
@@ -205,91 +108,12 @@ impl Default for ReplicationConfig {
         ReplicationConfig {
             nodes: 2,
             repair_poll_ns: 10_000,
+            node_faults: Vec::new(),
         }
     }
 }
 
-/// The paper's testbed backend: one-sided RDMA verbs to a single passive
-/// memory node, with the remote-slot policy taken from
-/// [`RemoteAllocKind`] (VMA direct mapping for DiLOS/MAGE, a swap-slot
-/// bitmap behind a global lock for Hermit).
-pub struct RdmaBackend {
-    nic: Rc<Nic>,
-    node: MemoryNode,
-    slots: RemoteAllocator,
-}
-
-impl RdmaBackend {
-    /// Builds the backend from the system's NIC config and remote-slot
-    /// policy.
-    pub fn new(sim: SimHandle, cfg: &SystemConfig, remote_pages: u64) -> Self {
-        let slots = match cfg.remote_alloc {
-            RemoteAllocKind::DirectMap => RemoteAllocator::DirectMap,
-            RemoteAllocKind::SwapLock => RemoteAllocator::Swap(Box::new(SwapBitmap::new(
-                sim.clone(),
-                remote_pages,
-                cfg.costs.swap_slot_ns,
-            ))),
-        };
-        RdmaBackend {
-            nic: Rc::new(Nic::with_node_faults(
-                sim,
-                cfg.nic.clone(),
-                cfg.faults.clone(),
-                cfg.node_faults.clone(),
-            )),
-            node: MemoryNode::new(
-                remote_pages
-                    .checked_mul(PAGE_SIZE)
-                    .expect("remote capacity (remote_pages * PAGE_SIZE) overflows u64"),
-            ),
-            slots,
-        }
-    }
-}
-
-impl FarBackend for RdmaBackend {
-    fn name(&self) -> &'static str {
-        "rdma"
-    }
-
-    fn read_page(&self, bytes: u64) -> Completion {
-        self.nic.post_read(bytes)
-    }
-
-    fn write_page(&self, bytes: u64) -> Completion {
-        self.nic.post_write(bytes)
-    }
-
-    fn alloc_slot<'a>(&'a self, direct_rpn: u64) -> LocalBoxFuture<'a, Option<u64>> {
-        Box::pin(self.slots.alloc_for(direct_rpn))
-    }
-
-    fn release_slot<'a>(&'a self, rpn: u64) -> LocalBoxFuture<'a, ()> {
-        Box::pin(self.slots.release(rpn))
-    }
-
-    fn seed_slot(&self, direct_rpn: u64) -> Option<u64> {
-        match &self.slots {
-            RemoteAllocator::DirectMap => Some(direct_rpn),
-            RemoteAllocator::Swap(bitmap) => bitmap.seed_alloc(),
-        }
-    }
-
-    fn writes_clean_pages(&self) -> bool {
-        self.slots.is_synchronized()
-    }
-
-    fn link(&self) -> &Rc<Nic> {
-        &self.nic
-    }
-
-    fn node(&self) -> &MemoryNode {
-        &self.node
-    }
-}
-
-/// Shared replica bookkeeping of [`ReplicatedBackend`]: a sparse
+/// Replica bookkeeping of a replicated [`FarBackend`]: a sparse
 /// rpn-keyed [`PageMap`] of per-replica states plus the replication
 /// counters.
 ///
@@ -483,90 +307,114 @@ async fn replication_monitor(
     }
 }
 
-/// Replicates any [`FarBackend`] across ≥ 2 simulated memory nodes:
-/// writebacks are mirrored to a primary + backup replica, reads route to
-/// a synced replica and fail over when the primary's node is mid-crash,
-/// and a background task re-replicates degraded pages after the node's
-/// recovery window — so a node crash costs failover latency instead of
-/// `aborted_faults`.
+/// The far-memory backend: one-sided RDMA verbs to a passive memory
+/// node, with the remote-slot policy taken from [`RemoteAllocKind`] (VMA
+/// direct mapping for DiLOS/MAGE, a swap-slot bitmap behind a global lock
+/// for Hermit).
 ///
-/// Kept deliberately primary/backup-simple (bounded retry, no consensus):
-/// the simulation has a single initiator per page at a time, so the
-/// agreement problems that push real RDMA systems toward replicated state
-/// machines never arise here.
-pub struct ReplicatedBackend {
+/// With replication configured, every slot keeps a primary and a backup
+/// replica on two simulated memory nodes: writebacks are mirrored to
+/// both, reads route to a synced replica and fail over when the
+/// primary's node is mid-crash, and a background task re-replicates
+/// degraded pages after the node's recovery window — so a node crash
+/// costs failover latency instead of `aborted_faults`. Kept deliberately
+/// primary/backup-simple (bounded retry, no consensus): the simulation
+/// has a single initiator per page at a time, so the agreement problems
+/// that push real RDMA systems toward replicated state machines never
+/// arise here.
+pub struct FarBackend {
     sim: SimHandle,
-    inner: Box<dyn FarBackend>,
-    table: Rc<ReplicaTable>,
+    nic: Rc<Nic>,
+    node: MemoryNode,
+    slots: RemoteAllocator,
+    /// Replica bookkeeping; `None` (the default) is the single-copy
+    /// backend.
+    replicas: Option<Rc<ReplicaTable>>,
 }
 
-impl ReplicatedBackend {
-    /// Wraps `inner`, spawning the crash monitor / repair task on `sim`.
-    /// The task runs until [`FarBackend::shutdown`].
-    pub fn new(
-        sim: SimHandle,
-        inner: Box<dyn FarBackend>,
-        cfg: ReplicationConfig,
-        break_rereplication: bool,
-    ) -> Self {
-        let table = Rc::new(ReplicaTable {
-            nodes: cfg.nodes.max(2) as u32,
-            states: RefCell::new(PageMap::new()),
-            stats: ReplicationStats::default(),
-            stop: Cell::new(false),
-            break_rereplication,
-        });
-        let nic = Rc::clone(inner.link());
-        let monitor_sim = sim.clone();
-        let monitor_table = Rc::clone(&table);
-        sim.spawn(replication_monitor(
-            monitor_sim,
-            monitor_table,
-            nic,
-            cfg.repair_poll_ns.max(1),
+impl FarBackend {
+    /// Builds the backend from the system's NIC config, fault plans and
+    /// remote-slot policy. With [`SystemConfig::replication`] set it also
+    /// spawns the crash monitor / repair task on `sim`, which runs until
+    /// [`FarBackend::shutdown`].
+    pub fn new(sim: SimHandle, cfg: &SystemConfig, remote_pages: u64) -> Self {
+        let slots = match cfg.remote_alloc {
+            RemoteAllocKind::DirectMap => RemoteAllocator::DirectMap,
+            RemoteAllocKind::SwapLock => RemoteAllocator::Swap(Box::new(SwapBitmap::new(
+                sim.clone(),
+                remote_pages,
+                cfg.costs.swap_slot_ns,
+            ))),
+        };
+        let node_plans = cfg
+            .replication
+            .as_ref()
+            .map_or_else(Vec::new, |r| r.node_faults.clone());
+        let nic = Rc::new(Nic::with_faults(
+            sim.clone(),
+            cfg.nic.clone(),
+            cfg.faults.clone(),
+            node_plans,
         ));
-        ReplicatedBackend { sim, inner, table }
+        let node = MemoryNode::new(
+            remote_pages
+                .checked_mul(PAGE_SIZE)
+                .expect("remote capacity (remote_pages * PAGE_SIZE) overflows u64"),
+        );
+        let replicas = cfg.replication.as_ref().map(|r| {
+            let table = Rc::new(ReplicaTable {
+                nodes: r.nodes.max(2) as u32,
+                states: RefCell::new(PageMap::new()),
+                stats: ReplicationStats::default(),
+                stop: Cell::new(false),
+                break_rereplication: cfg.planted == Some(PlantedBug::Rereplication),
+            });
+            sim.spawn(replication_monitor(
+                sim.clone(),
+                Rc::clone(&table),
+                Rc::clone(&nic),
+                r.repair_poll_ns.max(1),
+            ));
+            table
+        });
+        FarBackend {
+            sim,
+            nic,
+            node,
+            slots,
+            replicas,
+        }
     }
 
-    /// First slot holding a synced replica, in slot order; falls back to
-    /// the primary so an (illegal) zero-synced page still produces a wire
-    /// op rather than a panic.
-    fn synced_slot(&self, rpn: u64) -> usize {
-        self.table
-            .get(rpn)
-            .and_then(|s| (0..2).find(|&i| s[i] == ReplicaState::Synced))
-            .unwrap_or(0)
-    }
-}
-
-impl FarBackend for ReplicatedBackend {
-    fn name(&self) -> &'static str {
-        "replicated"
-    }
-
-    fn read_page(&self, bytes: u64) -> Completion {
-        self.inner.read_page(bytes)
-    }
-
-    fn write_page(&self, bytes: u64) -> Completion {
-        self.inner.write_page(bytes)
-    }
-
-    fn read_page_at(&self, rpn: u64, bytes: u64) -> Completion {
+    /// Posts a one-sided read of `bytes` for the page stored in slot
+    /// `rpn`; the completion resolves when the data has arrived. A
+    /// replicated backend routes the read to the first synced replica.
+    pub fn read_page(&self, rpn: u64, bytes: u64) -> Completion {
+        let Some(table) = &self.replicas else {
+            return self.nic.post_read(bytes);
+        };
         // Route by replica state only — reachability is *not* consulted,
         // so a crash the monitor has not yet observed genuinely surfaces
         // as NodeUnreachable to the retry layer, which then fails over.
-        let slot = self.synced_slot(rpn);
-        self.inner
-            .link()
-            .post_read_to(self.table.home(rpn, slot), bytes)
+        // An (illegal) zero-synced page falls back to the primary, so it
+        // still produces a wire op rather than a panic.
+        let slot = table
+            .get(rpn)
+            .and_then(|s| (0..2).find(|&i| s[i] == ReplicaState::Synced))
+            .unwrap_or(0);
+        self.nic.post_read_to(table.home(rpn, slot), bytes)
     }
 
-    fn write_page_at(&self, rpn: u64, bytes: u64) -> Completion {
-        let nic = self.inner.link();
+    /// Posts a one-sided write of `bytes` for the page stored in slot
+    /// `rpn`; the completion resolves when the write is durable. A
+    /// replicated backend mirrors the write to every replica.
+    pub fn write_page(&self, rpn: u64, bytes: u64) -> Completion {
+        let Some(table) = &self.replicas else {
+            return self.nic.post_write(bytes);
+        };
         let now = self.sim.now();
-        let c0 = nic.post_write_to(self.table.home(rpn, 0), bytes);
-        let c1 = nic.post_write_to(self.table.home(rpn, 1), bytes);
+        let c0 = self.nic.post_write_to(table.home(rpn, 0), bytes);
+        let c1 = self.nic.post_write_to(table.home(rpn, 1), bytes);
         let oks = [c0.outcome().is_ok(), c1.outcome().is_ok()];
         for (slot, ok) in oks.iter().enumerate() {
             let to = if *ok {
@@ -574,7 +422,7 @@ impl FarBackend for ReplicatedBackend {
             } else {
                 ReplicaState::Degraded
             };
-            self.table.set(rpn, slot, to);
+            table.set(rpn, slot, to);
         }
         // One durable copy settles the writeback; the degraded side is
         // the repair task's problem. Both sides failing falls through to
@@ -588,76 +436,104 @@ impl FarBackend for ReplicatedBackend {
         Completion::compose(&self.sim, now, at, result, c0.node())
     }
 
-    fn failover_read(&self, rpn: u64, bytes: u64) -> Option<Completion> {
-        let s = self.table.get(rpn)?;
-        let nic = self.inner.link();
+    /// After a node-unreachable read failure on slot `rpn`, posts one
+    /// read to an alternate synced, reachable replica if there is one.
+    /// `None` (always, without replication) sends the caller down the
+    /// ordinary retry path.
+    pub fn failover_read(&self, rpn: u64, bytes: u64) -> Option<Completion> {
+        let table = self.replicas.as_ref()?;
+        let s = table.get(rpn)?;
         let slot = (0..2).find(|&i| {
-            s[i] == ReplicaState::Synced && nic.node_reachable(self.table.home(rpn, i))
+            s[i] == ReplicaState::Synced && self.nic.node_reachable(table.home(rpn, i))
         })?;
-        Some(nic.post_read_to(self.table.home(rpn, slot), bytes))
+        Some(self.nic.post_read_to(table.home(rpn, slot), bytes))
     }
 
-    fn alloc_slot<'a>(&'a self, direct_rpn: u64) -> LocalBoxFuture<'a, Option<u64>> {
-        Box::pin(async move {
-            let rpn = self.inner.alloc_slot(direct_rpn).await?;
+    /// Resolves the backend slot for an eviction of a page whose VMA
+    /// direct-maps it to `direct_rpn`. Returns `None` when the backend is
+    /// out of capacity (the engine then skips the candidate).
+    pub async fn alloc_slot(&self, direct_rpn: u64) -> Option<u64> {
+        let rpn = self.slots.alloc_for(direct_rpn).await?;
+        if let Some(table) = &self.replicas {
             // Fresh slots hold no data yet; the mirrored writeback that
             // follows promotes both replicas. Already-tracked slots (a
             // direct-mapped page re-evicted clean) keep their states.
-            self.table
-                .track(rpn, [ReplicaState::Degraded, ReplicaState::Degraded]);
-            Some(rpn)
-        })
-    }
-
-    fn release_slot<'a>(&'a self, rpn: u64) -> LocalBoxFuture<'a, ()> {
-        Box::pin(async move {
-            self.inner.release_slot(rpn).await;
-            if self.inner.writes_clean_pages() {
-                // The slot returns to a pool; its replicas die with it.
-                self.table.untrack(rpn);
-            }
-        })
-    }
-
-    fn seed_slot(&self, direct_rpn: u64) -> Option<u64> {
-        let rpn = self.inner.seed_slot(direct_rpn)?;
-        // Setup-time seeding is wire-free and lands on every replica.
-        self.table
-            .track(rpn, [ReplicaState::Synced, ReplicaState::Synced]);
+            table.track(rpn, [ReplicaState::Degraded, ReplicaState::Degraded]);
+        }
         Some(rpn)
     }
 
-    fn writes_clean_pages(&self) -> bool {
-        self.inner.writes_clean_pages()
+    /// Releases a slot when its page is faulted back in. Direct mapping
+    /// keeps the address-derived slot reserved and does nothing.
+    pub async fn release_slot(&self, rpn: u64) {
+        self.slots.release(rpn).await;
+        if let Some(table) = &self.replicas {
+            if self.writes_clean_pages() {
+                // The slot returns to a pool; its replicas die with it.
+                table.untrack(rpn);
+            }
+        }
     }
 
-    fn link(&self) -> &Rc<Nic> {
-        self.inner.link()
+    /// Synchronously allocates a slot during setup (no virtual time).
+    /// Setup-time seeding is wire-free and lands on every replica.
+    pub fn seed_slot(&self, direct_rpn: u64) -> Option<u64> {
+        let rpn = self.slots.seed_for(direct_rpn)?;
+        if let Some(table) = &self.replicas {
+            table.track(rpn, [ReplicaState::Synced, ReplicaState::Synced]);
+        }
+        Some(rpn)
     }
 
-    fn node(&self) -> &MemoryNode {
-        self.inner.node()
+    /// Whether clean pages must be written on eviction because their
+    /// previous backend copy is no longer addressable (fresh slot per
+    /// eviction). Direct mapping keeps clean copies valid and skips the
+    /// write.
+    pub fn writes_clean_pages(&self) -> bool {
+        self.slots.is_synchronized()
     }
 
-    fn replica_states(&self, rpn: u64) -> Option<[ReplicaState; 2]> {
-        self.table.get(rpn)
+    /// The transfer link (bandwidth/latency model and transfer stats).
+    pub fn link(&self) -> &Rc<Nic> {
+        &self.nic
     }
 
-    fn replication_stats(&self) -> Option<&ReplicationStats> {
-        Some(&self.table.stats)
+    /// The passive node's capacity bookkeeping.
+    pub fn node(&self) -> &MemoryNode {
+        &self.node
     }
 
-    fn degraded_pages(&self) -> u64 {
-        self.table.degraded_pages()
+    /// Replica states of slot `rpn` in slot order (primary first), if the
+    /// backend replicates and tracks that slot.
+    pub fn replica_states(&self, rpn: u64) -> Option<[ReplicaState; 2]> {
+        self.replicas.as_ref()?.get(rpn)
     }
 
-    fn replica_entries(&self) -> u64 {
-        self.table.entries()
+    /// Replication counters, if the backend replicates.
+    pub fn replication_stats(&self) -> Option<&ReplicationStats> {
+        self.replicas.as_ref().map(|t| &t.stats)
     }
 
-    fn shutdown(&self) {
-        self.table.stop.set(true);
-        self.inner.shutdown();
+    /// Number of tracked slots currently carrying at least one degraded
+    /// replica (always 0 without replication).
+    pub fn degraded_pages(&self) -> u64 {
+        self.replicas.as_ref().map_or(0, |t| t.degraded_pages())
+    }
+
+    /// Number of slots the backend currently tracks replica state for
+    /// (always 0 without replication). Host metadata must stay
+    /// proportional to this — touched slots — never to the largest slot
+    /// number; the sparse-space regression tests assert it.
+    pub fn replica_entries(&self) -> u64 {
+        self.replicas.as_ref().map_or(0, |t| t.entries())
+    }
+
+    /// Stops the replication monitor, if any; called once from engine
+    /// shutdown.
+    pub fn shutdown(&self) {
+        if let Some(table) = &self.replicas {
+            table.stop.set(true);
+        }
     }
 }
 
@@ -670,7 +546,7 @@ mod tests {
     fn rdma_backend_direct_map_is_free() {
         let sim = Simulation::new();
         let cfg = SystemConfig::mage_lib();
-        let be = Rc::new(RdmaBackend::new(sim.handle(), &cfg, 1_024));
+        let be = Rc::new(FarBackend::new(sim.handle(), &cfg, 1_024));
         let b = Rc::clone(&be);
         sim.block_on(async move {
             assert_eq!(b.alloc_slot(77).await, Some(77), "address-derived slot");
@@ -685,7 +561,7 @@ mod tests {
     fn rdma_backend_swap_lock_allocates() {
         let sim = Simulation::new();
         let cfg = SystemConfig::hermit();
-        let be = Rc::new(RdmaBackend::new(sim.handle(), &cfg, 8));
+        let be = Rc::new(FarBackend::new(sim.handle(), &cfg, 8));
         let b = Rc::clone(&be);
         sim.block_on(async move {
             let slot = b.alloc_slot(999).await.expect("capacity");
@@ -698,17 +574,17 @@ mod tests {
 
     fn replicated(
         sim: &Simulation,
-        node_plans: Vec<FaultPlan>,
+        node_faults: Vec<FaultPlan>,
         break_rereplication: bool,
-    ) -> Rc<ReplicatedBackend> {
-        let cfg = SystemConfig::mage_lib().with_node_faults(node_plans);
-        let inner = Box::new(RdmaBackend::new(sim.handle(), &cfg, 1_024));
-        Rc::new(ReplicatedBackend::new(
-            sim.handle(),
-            inner,
-            ReplicationConfig::default(),
-            break_rereplication,
-        ))
+    ) -> Rc<FarBackend> {
+        let mut cfg = SystemConfig::mage_lib().with_replication(ReplicationConfig {
+            node_faults,
+            ..ReplicationConfig::default()
+        });
+        if break_rereplication {
+            cfg = cfg.with_planted_bug(PlantedBug::Rereplication);
+        }
+        Rc::new(FarBackend::new(sim.handle(), &cfg, 1_024))
     }
 
     #[test]
@@ -738,7 +614,7 @@ mod tests {
                 Some([ReplicaState::Degraded, ReplicaState::Degraded]),
                 "fresh slot holds no data yet"
             );
-            let c = b.write_page_at(rpn, PAGE_SIZE);
+            let c = b.write_page(rpn, PAGE_SIZE);
             assert!(c.outcome().is_ok(), "mirror merged Ok");
             c.await.unwrap();
             assert_eq!(
@@ -764,6 +640,25 @@ mod tests {
     }
 
     #[test]
+    fn released_swap_slot_drops_its_replicas() {
+        // Hermit's pooled swap slots: a faulted-in page hands its slot
+        // back to the bitmap, so the slot's replica states must go too.
+        let sim = Simulation::new();
+        let cfg = SystemConfig::hermit().with_replication(ReplicationConfig::default());
+        let be = Rc::new(FarBackend::new(sim.handle(), &cfg, 8));
+        let b = Rc::clone(&be);
+        sim.block_on(async move {
+            let rpn = b.alloc_slot(999).await.expect("capacity");
+            assert_eq!(b.replica_entries(), 1);
+            b.release_slot(rpn).await;
+            assert_eq!(b.replica_states(rpn), None, "pooled slot untracked");
+            assert_eq!(b.replica_entries(), 0);
+            b.shutdown();
+        });
+        sim.run();
+    }
+
+    #[test]
     fn failover_read_survives_a_primary_outage() {
         let sim = Simulation::new();
         // Node 0 is down for the first 50 µs of every 1 ms period; node 1
@@ -777,7 +672,7 @@ mod tests {
         sim.block_on(async move {
             // rpn 0: primary homes on node 0 (down), backup on node 1.
             let rpn = b.seed_slot(0).expect("capacity");
-            let primary = b.read_page_at(rpn, PAGE_SIZE);
+            let primary = b.read_page(rpn, PAGE_SIZE);
             assert_eq!(
                 primary.outcome(),
                 Err(TransferError::NodeUnreachable),

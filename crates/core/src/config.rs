@@ -19,9 +19,8 @@
 use mage_fabric::{FaultPlan, NicConfig};
 use mage_mmu::VmaLockModel;
 use mage_palloc::LocalAllocatorKind;
-use mage_sim::SimHandle;
 
-use crate::backend::{FarBackend, RdmaBackend, ReplicationConfig};
+use crate::backend::ReplicationConfig;
 use crate::costs::{CostModel, OsProfile};
 use crate::reclaim::{ApproxLru, Clock, EvictionPolicy, Fifo, S3Fifo, SecondChance};
 use crate::retry::RetryPolicy;
@@ -91,40 +90,6 @@ impl EvictionPolicyKind {
     }
 }
 
-/// Far-memory backend selector; see [`FarBackend`].
-#[derive(Clone, Copy, Debug)]
-pub enum BackendKind {
-    /// One-sided RDMA to a single passive memory node (the paper's
-    /// testbed; default everywhere). Slot placement follows
-    /// [`SystemConfig::remote_alloc`].
-    Rdma,
-    /// A user-provided backend; `build` is called once at machine launch
-    /// with the simulation handle, the full config and the far-memory
-    /// capacity in pages.
-    Custom {
-        /// Display name.
-        name: &'static str,
-        /// Backend constructor.
-        build: fn(SimHandle, &SystemConfig, u64) -> Box<dyn FarBackend>,
-    },
-}
-
-impl BackendKind {
-    /// Instantiates the backend for a machine with `remote_pages` of far
-    /// memory.
-    pub fn build(
-        &self,
-        sim: SimHandle,
-        cfg: &SystemConfig,
-        remote_pages: u64,
-    ) -> Box<dyn FarBackend> {
-        match *self {
-            BackendKind::Rdma => Box::new(RdmaBackend::new(sim, cfg, remote_pages)),
-            BackendKind::Custom { build, .. } => build(sim, cfg, remote_pages),
-        }
-    }
-}
-
 /// Prefetching policy on the fault-in path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PrefetchPolicy {
@@ -145,12 +110,10 @@ pub struct SystemConfig {
     pub accounting_partitions: usize,
     /// Local frame-allocator stack (`FP₁`).
     pub local_alloc: LocalAllocatorKind,
-    /// Remote-slot policy (`EP₃`), consumed by the RDMA backend.
+    /// Remote-slot policy (`EP₃`), consumed by the far-memory backend.
     pub remote_alloc: RemoteAllocKind,
     /// Victim-selection policy (`EP₁`).
     pub eviction_policy: EvictionPolicyKind,
-    /// Far-memory backend (data movement + slot placement).
-    pub backend: BackendKind,
     /// Address-space lock granularity.
     pub vma_lock: VmaLockModel,
     /// Number of dedicated evictor threads.
@@ -180,11 +143,6 @@ pub struct SystemConfig {
     /// Deterministic transport-fault schedule ([`FaultPlan::none`] — a
     /// perfect network — by default).
     pub faults: FaultPlan,
-    /// Per-node fault schedules for multi-node fabrics: `node_faults[i]`
-    /// governs operations targeted at memory node `i` (node-kill chaos
-    /// plans for replicated runs). Empty — a single-node view — by
-    /// default; untargeted operations always follow `faults`.
-    pub node_faults: Vec<FaultPlan>,
     /// Replicate remote pages across simulated memory nodes with
     /// transparent read failover and background re-replication. `None`
     /// (the default) keeps the single-copy backend bit-identical to
@@ -246,7 +204,6 @@ impl SystemConfig {
             local_alloc: LocalAllocatorKind::MultiLayer,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::SecondChance,
-            backend: BackendKind::Rdma,
             vma_lock: VmaLockModel::None,
             evictors: 4,
             max_evictors: 4,
@@ -259,7 +216,6 @@ impl SystemConfig {
             tlb_coherence: true,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
-            node_faults: Vec::new(),
             replication: None,
             planted: None,
             retry: RetryPolicy::default(),
@@ -276,7 +232,6 @@ impl SystemConfig {
             local_alloc: LocalAllocatorKind::MultiLayer,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::Fifo,
-            backend: BackendKind::Rdma,
             vma_lock: VmaLockModel::Sharded(16),
             evictors: 4,
             max_evictors: 4,
@@ -292,7 +247,6 @@ impl SystemConfig {
                 ..NicConfig::bluefield2_200g()
             },
             faults: FaultPlan::none(),
-            node_faults: Vec::new(),
             replication: None,
             planted: None,
             retry: RetryPolicy::default(),
@@ -309,7 +263,6 @@ impl SystemConfig {
             local_alloc: LocalAllocatorKind::PcpuCache,
             remote_alloc: RemoteAllocKind::SwapLock,
             eviction_policy: EvictionPolicyKind::SecondChance,
-            backend: BackendKind::Rdma,
             vma_lock: VmaLockModel::Global,
             evictors: 4,
             max_evictors: 32,
@@ -322,7 +275,6 @@ impl SystemConfig {
             tlb_coherence: true,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
-            node_faults: Vec::new(),
             replication: None,
             planted: None,
             retry: RetryPolicy::default(),
@@ -340,7 +292,6 @@ impl SystemConfig {
             local_alloc: LocalAllocatorKind::GlobalBuddy,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::SecondChance,
-            backend: BackendKind::Rdma,
             vma_lock: VmaLockModel::None,
             evictors: 4,
             max_evictors: 4,
@@ -353,7 +304,6 @@ impl SystemConfig {
             tlb_coherence: true,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
-            node_faults: Vec::new(),
             replication: None,
             planted: None,
             retry: RetryPolicy::default(),
@@ -372,7 +322,6 @@ impl SystemConfig {
             local_alloc: LocalAllocatorKind::MultiLayer,
             remote_alloc: RemoteAllocKind::DirectMap,
             eviction_policy: EvictionPolicyKind::SecondChance,
-            backend: BackendKind::Rdma,
             vma_lock: VmaLockModel::None,
             evictors: 4,
             max_evictors: 4,
@@ -385,7 +334,6 @@ impl SystemConfig {
             tlb_coherence: false,
             nic: NicConfig::bluefield2_200g(),
             faults: FaultPlan::none(),
-            node_faults: Vec::new(),
             replication: None,
             planted: None,
             retry: RetryPolicy::default(),
@@ -413,13 +361,6 @@ impl SystemConfig {
         self
     }
 
-    /// Swaps the far-memory backend implementation (data movement + slot
-    /// placement), e.g. to a [`BackendKind::Custom`] backend.
-    pub fn with_backend_kind(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Swaps the victim-selection policy.
     pub fn with_eviction_policy(mut self, policy: EvictionPolicyKind) -> Self {
         self.eviction_policy = policy;
@@ -433,15 +374,10 @@ impl SystemConfig {
         self
     }
 
-    /// Installs per-node fault schedules: `plans[i]` governs operations
-    /// targeted at memory node `i` (the node-kill chaos suite).
-    pub fn with_node_faults(mut self, plans: Vec<FaultPlan>) -> Self {
-        self.node_faults = plans;
-        self
-    }
-
     /// Replicates remote pages across simulated memory nodes (primary +
-    /// backup, transparent read failover, background re-replication).
+    /// backup, transparent read failover, background re-replication),
+    /// under the per-node fault schedules in
+    /// [`ReplicationConfig::node_faults`].
     pub fn with_replication(mut self, replication: ReplicationConfig) -> Self {
         self.replication = Some(replication);
         self

@@ -279,7 +279,7 @@ impl FarMemory {
             let t_r = self.sim.now();
             self.sim.sleep(costs.os.rdma_post_cpu_ns).await;
             if let Err(err) = self
-                .transfer_with_retry(TransferOp::Read, PAGE_SIZE, Some(rpn))
+                .transfer_with_retry(TransferOp::Read, PAGE_SIZE, rpn)
                 .await
             {
                 // Abort the fault: the remote copy is the only copy, so

@@ -68,13 +68,8 @@ pub mod reclaim;
 pub mod retry;
 pub mod stats;
 
-pub use backend::{
-    FarBackend, LocalBoxFuture, RdmaBackend, ReplicaState, ReplicatedBackend, ReplicationConfig,
-    ReplicationStats,
-};
-pub use config::{
-    BackendKind, EvictionPolicyKind, PlantedBug, PrefetchPolicy, RemoteAllocKind, SystemConfig,
-};
+pub use backend::{FarBackend, ReplicaState, ReplicationConfig, ReplicationStats};
+pub use config::{EvictionPolicyKind, PlantedBug, PrefetchPolicy, RemoteAllocKind, SystemConfig};
 pub use costs::{CostModel, OsProfile};
 pub use events::{EventSink, PageEvent};
 pub use ideal::IdealModel;

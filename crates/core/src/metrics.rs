@@ -40,9 +40,9 @@ pub struct MetricsRegistry<'a> {
     pub(crate) nic: &'a NicStats,
     pub(crate) interrupts: &'a IpiStats,
     pub(crate) accounting: &'a AccountingStats,
-    /// Present only when the machine runs a
-    /// [`ReplicatedBackend`](crate::backend::ReplicatedBackend); its
-    /// window fields are zero otherwise.
+    /// Present only when the machine's backend replicates
+    /// ([`SystemConfig::replication`](crate::config::SystemConfig::replication));
+    /// its window fields are zero otherwise.
     pub(crate) replication: Option<&'a ReplicationStats>,
 }
 

@@ -130,7 +130,7 @@ impl FarMemory {
         };
         self.sim.sleep(self.cfg.costs.os.rdma_post_cpu_ns).await;
         if self
-            .await_op(self.backend.read_page_at(rpn, PAGE_SIZE))
+            .await_op(self.backend.read_page(rpn, PAGE_SIZE))
             .await
             .is_err()
         {

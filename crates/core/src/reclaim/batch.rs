@@ -152,7 +152,7 @@ impl FarMemory {
         let mut completions = Vec::new();
         for (idx, page) in batch.iter().enumerate() {
             if page.dirty || must_write_clean {
-                completions.push((idx, self.backend.write_page_at(page.rpn, PAGE_SIZE)));
+                completions.push((idx, self.backend.write_page(page.rpn, PAGE_SIZE)));
             } else {
                 self.stats.clean_reclaims.inc();
             }
@@ -202,7 +202,7 @@ impl FarMemory {
         for (idx, c) in &wb.completions {
             if let Err(e) = c.outcome() {
                 if self
-                    .retry_transfer(TransferOp::Write, PAGE_SIZE, Some(batch[*idx].rpn), Err(e))
+                    .retry_transfer(TransferOp::Write, PAGE_SIZE, batch[*idx].rpn, Err(e))
                     .await
                     .is_err()
                 {

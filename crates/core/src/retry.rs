@@ -109,16 +109,12 @@ impl FarMemory {
         c.await
     }
 
-    /// Posts one transfer. With a known backend slot the slot-addressed
-    /// entry points are used, which replication-aware backends route to
-    /// replicas; the defaults delegate straight to the plain posts, so
-    /// unreplicated behaviour is unchanged.
-    fn post_transfer(&self, op: TransferOp, bytes: u64, rpn: Option<u64>) -> Completion {
-        match (op, rpn) {
-            (TransferOp::Read, Some(rpn)) => self.backend.read_page_at(rpn, bytes),
-            (TransferOp::Read, None) => self.backend.read_page(bytes),
-            (TransferOp::Write, Some(rpn)) => self.backend.write_page_at(rpn, bytes),
-            (TransferOp::Write, None) => self.backend.write_page(bytes),
+    /// Posts one transfer of the page stored in backend slot `rpn` (a
+    /// replicated backend routes it to the slot's replicas).
+    fn post_transfer(&self, op: TransferOp, bytes: u64, rpn: u64) -> Completion {
+        match op {
+            TransferOp::Read => self.backend.read_page(rpn, bytes),
+            TransferOp::Write => self.backend.write_page(rpn, bytes),
         }
     }
 
@@ -127,7 +123,7 @@ impl FarMemory {
         &self,
         op: TransferOp,
         bytes: u64,
-        rpn: Option<u64>,
+        rpn: u64,
     ) -> Result<Nanos, FaultError> {
         let c = self.post_transfer(op, bytes, rpn);
         let first = self.await_op(c).await;
@@ -142,7 +138,7 @@ impl FarMemory {
         &self,
         op: TransferOp,
         bytes: u64,
-        rpn: Option<u64>,
+        rpn: u64,
         first: Result<Nanos, TransferError>,
     ) -> Result<Nanos, FaultError> {
         let mut last = match first {
@@ -155,7 +151,7 @@ impl FarMemory {
         // Unreplicated backends answer `None` here without an await or an
         // RNG draw, leaving their fault schedules untouched.
         if last == TransferError::NodeUnreachable && op == TransferOp::Read {
-            if let Some(c) = rpn.and_then(|rpn| self.backend.failover_read(rpn, bytes)) {
+            if let Some(c) = self.backend.failover_read(rpn, bytes) {
                 if let Ok(lat) = self.await_op(c).await {
                     self.stats.failover_reads.inc();
                     return Ok(lat);

@@ -1,4 +1,4 @@
-//! Seeded differential fuzz of [`ReplicatedBackend`] against a linear
+//! Seeded differential fuzz of a replicated [`FarBackend`] against a linear
 //! shadow model, in the style of `accounting/tests/fuzz_s3fifo.rs`.
 //!
 //! Two layers are pinned:
@@ -31,9 +31,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use mage::{
-    FarBackend, RdmaBackend, ReplicaState, ReplicatedBackend, ReplicationConfig, SystemConfig,
-};
+use mage::{FarBackend, ReplicaState, ReplicationConfig, SystemConfig};
 use mage_fabric::{FaultInjector, FaultPlan, NodeId};
 use mage_mmu::PAGE_SIZE;
 use mage_sim::rng::SplitMix64;
@@ -83,18 +81,13 @@ fn home(rpn: u64, slot: usize) -> NodeId {
 /// Builds a replicated backend over direct-mapped RDMA with per-node
 /// crash plans. `repair_poll_ns` huge parks the monitor for the exact
 /// differential; small makes it live for the laws fuzz.
-fn replicated(sim: &Simulation, seed: u64, repair_poll_ns: u64) -> Rc<ReplicatedBackend> {
-    let cfg = SystemConfig::mage_lib().with_node_faults(plans(seed));
-    let inner = Box::new(RdmaBackend::new(sim.handle(), &cfg, 1_024));
-    Rc::new(ReplicatedBackend::new(
-        sim.handle(),
-        inner,
-        ReplicationConfig {
-            nodes: NODES,
-            repair_poll_ns,
-        },
-        false,
-    ))
+fn replicated(sim: &Simulation, seed: u64, repair_poll_ns: u64) -> Rc<FarBackend> {
+    let cfg = SystemConfig::mage_lib().with_replication(ReplicationConfig {
+        nodes: NODES,
+        repair_poll_ns,
+        node_faults: plans(seed),
+    });
+    Rc::new(FarBackend::new(sim.handle(), &cfg, 1_024))
 }
 
 /// With the repair task parked, a linear shadow predicts every replica
@@ -141,7 +134,7 @@ fn replicated_backend_matches_linear_shadow() {
                         let rpn = pick(&shadow);
                         let oks =
                             [!oracle.down(home(rpn, 0), now), !oracle.down(home(rpn, 1), now)];
-                        let c = b.write_page_at(rpn, PAGE_SIZE);
+                        let c = b.write_page(rpn, PAGE_SIZE);
                         assert_eq!(
                             c.outcome().is_ok(),
                             oks[0] || oks[1],
@@ -172,7 +165,7 @@ fn replicated_backend_matches_linear_shadow() {
                         let s = shadow[&rpn];
                         let route = (0..2).find(|&i| s[i] == ReplicaState::Synced).unwrap_or(0);
                         let expect_ok = !oracle.down(home(rpn, route), now);
-                        let c = b.read_page_at(rpn, PAGE_SIZE);
+                        let c = b.read_page(rpn, PAGE_SIZE);
                         assert_eq!(
                             c.outcome().is_ok(),
                             expect_ok,
@@ -277,7 +270,7 @@ fn live_monitor_upholds_replica_laws() {
                     0..=1 => {
                         let oks =
                             [!oracle.down(home(rpn, 0), now), !oracle.down(home(rpn, 1), now)];
-                        let c = b.write_page_at(rpn, PAGE_SIZE);
+                        let c = b.write_page(rpn, PAGE_SIZE);
                         assert_eq!(
                             c.outcome().is_ok(),
                             oks[0] || oks[1],
@@ -300,7 +293,7 @@ fn live_monitor_upholds_replica_laws() {
                         let _ = c.await;
                     }
                     _ => {
-                        let c = b.read_page_at(rpn, PAGE_SIZE);
+                        let c = b.read_page(rpn, PAGE_SIZE);
                         if c.outcome().is_err() {
                             // A synced replica on a reachable node must be
                             // offered for failover, and must deliver.

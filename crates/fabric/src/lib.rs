@@ -19,8 +19,9 @@
 //! (paper §4.1 steps ⑤–⑦).
 
 //!
-//! Transport failure is modeled by an optional deterministic
-//! [`FaultPlan`] ([`Nic::with_faults`]): completions then resolve to
+//! Transport failure is modeled by optional deterministic [`FaultPlan`]s,
+//! one for the link and one per memory node of a multi-node fabric
+//! ([`Nic::with_faults`]): completions then resolve to
 //! `Result<Nanos, TransferError>` and the engine above decides how to
 //! retry, time out, or degrade.
 

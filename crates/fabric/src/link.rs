@@ -84,6 +84,13 @@ pub struct NicStats {
     pub write_latency: Histogram,
 }
 
+/// Transfer direction of a posted op.
+#[derive(Clone, Copy)]
+enum Op {
+    Read,
+    Write,
+}
+
 struct Direction {
     busy_until: Cell<SimTime>,
 }
@@ -154,20 +161,16 @@ pub struct Nic {
 impl Nic {
     /// Creates a NIC with the given link configuration and no faults.
     pub fn new(sim: SimHandle, config: NicConfig) -> Self {
-        Nic::with_faults(sim, config, FaultPlan::none())
+        Nic::with_faults(sim, config, FaultPlan::none(), Vec::new())
     }
 
-    /// Creates a NIC that executes `plan` against every posted operation.
-    /// An inactive plan (all rates zero) is dropped entirely.
-    pub fn with_faults(sim: SimHandle, config: NicConfig, plan: FaultPlan) -> Self {
-        Nic::with_node_faults(sim, config, plan, Vec::new())
-    }
-
-    /// Creates a NIC serving a multi-node fabric: `plan` governs untargeted
-    /// posts (and targeted posts at nodes without their own plan), while
-    /// `node_plans[i]` governs posts targeted at node `i`. Inactive plans
-    /// are dropped, keeping those paths bit-identical to the clean build.
-    pub fn with_node_faults(
+    /// Creates a NIC whose posts follow deterministic fault schedules:
+    /// `plan` governs untargeted posts (and targeted posts at nodes
+    /// without their own plan), while `node_plans[i]` governs posts
+    /// targeted at memory node `i` of a multi-node fabric. Inactive plans
+    /// (all rates zero) are dropped entirely, keeping those paths
+    /// bit-identical to a clean NIC.
+    pub fn with_faults(
         sim: SimHandle,
         config: NicConfig,
         plan: FaultPlan,
@@ -238,7 +241,7 @@ impl Nic {
     pub fn post_read(&self, bytes: u64) -> Completion {
         let now = self.sim.now();
         let inj = self.sample(now);
-        self.finish_read(now, bytes, inj, None)
+        self.finish(Op::Read, now, bytes, inj, None)
     }
 
     /// Posts a one-sided RDMA read of `bytes` targeted at `node`: the
@@ -247,53 +250,7 @@ impl Nic {
     pub fn post_read_to(&self, node: NodeId, bytes: u64) -> Completion {
         let now = self.sim.now();
         let inj = self.sample_node(node, now);
-        self.finish_read(now, bytes, inj, Some(node))
-    }
-
-    fn finish_read(
-        &self,
-        now: SimTime,
-        bytes: u64,
-        inj: OpInjection,
-        node: Option<NodeId>,
-    ) -> Completion {
-        if inj.node_down {
-            // No bandwidth consumed: the node never answers and the
-            // initiator notices after one base latency.
-            let done = now + self.config.base_read_ns;
-            return Completion::new(
-                self.sim.sleep_until(done),
-                now,
-                done,
-                Err(TransferError::NodeUnreachable),
-                node,
-            );
-        }
-        let ser = self.config.serialize_ns(bytes).saturating_mul(inj.ser_factor);
-        let slot_end = self.rx.reserve(now, ser);
-        let done = slot_end + self.config.base_read_ns + inj.extra_ns;
-        let result = match inj.error {
-            Some(e) => Err(e),
-            None => {
-                // Only successful transfers count toward throughput and
-                // the latency distribution.
-                self.stats.reads.inc();
-                self.stats.read_bytes.add(bytes);
-                self.stats.read_latency.record(done - now);
-                if let Some(t) = self.tracer.borrow().as_ref() {
-                    t.record(
-                        TRACK_NIC,
-                        "nic",
-                        "read",
-                        now.as_nanos(),
-                        done - now,
-                        Some(("bytes", bytes)),
-                    );
-                }
-                Ok(())
-            }
-        };
-        Completion::new(self.sim.sleep_until(done), now, done, result, node)
+        self.finish(Op::Read, now, bytes, inj, Some(node))
     }
 
     /// Posts a one-sided RDMA write of `bytes`; the returned completion
@@ -302,7 +259,7 @@ impl Nic {
     pub fn post_write(&self, bytes: u64) -> Completion {
         let now = self.sim.now();
         let inj = self.sample(now);
-        self.finish_write(now, bytes, inj, None)
+        self.finish(Op::Write, now, bytes, inj, None)
     }
 
     /// Posts a one-sided RDMA write of `bytes` targeted at `node` (the
@@ -310,18 +267,28 @@ impl Nic {
     pub fn post_write_to(&self, node: NodeId, bytes: u64) -> Completion {
         let now = self.sim.now();
         let inj = self.sample_node(node, now);
-        self.finish_write(now, bytes, inj, Some(node))
+        self.finish(Op::Write, now, bytes, inj, Some(node))
     }
 
-    fn finish_write(
+    /// Decides a posted op's completion instant and status: reads use the
+    /// remote→local serializer, writes the local→remote one.
+    #[inline]
+    fn finish(
         &self,
+        op: Op,
         now: SimTime,
         bytes: u64,
         inj: OpInjection,
         node: Option<NodeId>,
     ) -> Completion {
+        let (dir, base_ns) = match op {
+            Op::Read => (&self.rx, self.config.base_read_ns),
+            Op::Write => (&self.tx, self.config.base_write_ns),
+        };
         if inj.node_down {
-            let done = now + self.config.base_write_ns;
+            // No bandwidth consumed: the node never answers and the
+            // initiator notices after one base latency.
+            let done = now + base_ns;
             return Completion::new(
                 self.sim.sleep_until(done),
                 now,
@@ -331,19 +298,35 @@ impl Nic {
             );
         }
         let ser = self.config.serialize_ns(bytes).saturating_mul(inj.ser_factor);
-        let slot_end = self.tx.reserve(now, ser);
-        let done = slot_end + self.config.base_write_ns + inj.extra_ns;
+        let slot_end = dir.reserve(now, ser);
+        let done = slot_end + base_ns + inj.extra_ns;
         let result = match inj.error {
             Some(e) => Err(e),
             None => {
-                self.stats.writes.inc();
-                self.stats.write_bytes.add(bytes);
-                self.stats.write_latency.record(done - now);
+                // Only successful transfers count toward throughput and
+                // the latency distribution.
+                let (ops, moved, latency, name) = match op {
+                    Op::Read => (
+                        &self.stats.reads,
+                        &self.stats.read_bytes,
+                        &self.stats.read_latency,
+                        "read",
+                    ),
+                    Op::Write => (
+                        &self.stats.writes,
+                        &self.stats.write_bytes,
+                        &self.stats.write_latency,
+                        "write",
+                    ),
+                };
+                ops.inc();
+                moved.add(bytes);
+                latency.record(done - now);
                 if let Some(t) = self.tracer.borrow().as_ref() {
                     t.record(
                         TRACK_NIC,
                         "nic",
-                        "write",
+                        name,
                         now.as_nanos(),
                         done - now,
                         Some(("bytes", bytes)),
@@ -425,8 +408,8 @@ impl Completion {
     }
 
     /// Builds a completion from an already-decided (instant, status) pair.
-    /// Layered backends (mirrored writes, failover reads) use this to merge
-    /// several wire completions into one logical completion whose instant
+    /// A replicated backend's mirrored writes use this to merge two wire
+    /// completions into one logical completion whose instant
     /// and outcome are fixed at post time, like the NIC's own.
     pub fn compose(
         sim: &SimHandle,
@@ -625,7 +608,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let sim = Simulation::new();
-        let nic = Rc::new(Nic::with_faults(sim.handle(), fast_cfg(), plan));
+        let nic = Rc::new(Nic::with_faults(sim.handle(), fast_cfg(), plan, Vec::new()));
         let n = Rc::clone(&nic);
         let h = sim.handle();
         sim.block_on(async move {
@@ -651,7 +634,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let sim = Simulation::new();
-        let nic = Rc::new(Nic::with_faults(sim.handle(), fast_cfg(), plan));
+        let nic = Rc::new(Nic::with_faults(sim.handle(), fast_cfg(), plan, Vec::new()));
         let n = Rc::clone(&nic);
         let h = sim.handle();
         sim.block_on(async move {
@@ -674,7 +657,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let sim = Simulation::new();
-        let nic = Rc::new(Nic::with_faults(sim.handle(), fast_cfg(), plan));
+        let nic = Rc::new(Nic::with_faults(sim.handle(), fast_cfg(), plan, Vec::new()));
         let n = Rc::clone(&nic);
         sim.block_on(async move {
             let lat = n.post_read(4096).await.unwrap();
@@ -696,7 +679,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let sim = Simulation::new();
-        let nic = Rc::new(Nic::with_node_faults(
+        let nic = Rc::new(Nic::with_faults(
             sim.handle(),
             fast_cfg(),
             FaultPlan::none(),
@@ -736,7 +719,7 @@ mod tests {
     #[test]
     fn zero_fault_nic_has_no_injector() {
         let sim = Simulation::new();
-        let nic = Nic::with_faults(sim.handle(), fast_cfg(), FaultPlan::none());
+        let nic = Nic::with_faults(sim.handle(), fast_cfg(), FaultPlan::none(), Vec::new());
         assert!(nic.injector().is_none());
         assert!(nic.fault_stats().is_none());
     }

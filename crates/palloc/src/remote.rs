@@ -30,6 +30,19 @@ struct SwapInner {
     capacity: u64,
 }
 
+impl SwapInner {
+    /// Pops the most recently freed slot, or bumps into never-used space;
+    /// `None` when the area is full.
+    fn take(&mut self) -> Option<u64> {
+        self.free.pop().or_else(|| {
+            (self.next < self.capacity).then(|| {
+                self.next += 1;
+                self.next - 1
+            })
+        })
+    }
+}
+
 impl SwapBitmap {
     /// Creates a swap area with `capacity` slots and the given per-op
     /// critical-section cost.
@@ -53,31 +66,15 @@ impl SwapBitmap {
 
     /// Synchronously allocates a slot during setup (no virtual time, no
     /// statistics).
-    pub fn seed_alloc(&self) -> Option<u64> {
-        self.inner.with_sync(|inner| {
-            inner.free.pop().or_else(|| {
-                if inner.next < inner.capacity {
-                    inner.next += 1;
-                    Some(inner.next - 1)
-                } else {
-                    None
-                }
-            })
-        })
+    fn seed_alloc(&self) -> Option<u64> {
+        self.inner.with_sync(SwapInner::take)
     }
 
     /// Allocates one swap slot, or `None` when the area is full.
     pub async fn alloc(&self) -> Option<u64> {
         let mut inner = self.inner.lock().await;
         self.sim.sleep(self.op_ns).await;
-        let slot = inner.free.pop().or_else(|| {
-            if inner.next < inner.capacity {
-                inner.next += 1;
-                Some(inner.next - 1)
-            } else {
-                None
-            }
-        });
+        let slot = inner.take();
         if slot.is_some() {
             self.allocs.inc();
         }
@@ -117,6 +114,15 @@ impl RemoteAllocator {
         match self {
             RemoteAllocator::DirectMap => Some(direct_rpn),
             RemoteAllocator::Swap(bitmap) => bitmap.alloc().await,
+        }
+    }
+
+    /// [`alloc_for`](Self::alloc_for) at setup time: synchronous, no
+    /// virtual time, no statistics; `None` only if swap is exhausted.
+    pub fn seed_for(&self, direct_rpn: u64) -> Option<u64> {
+        match self {
+            RemoteAllocator::DirectMap => Some(direct_rpn),
+            RemoteAllocator::Swap(bitmap) => bitmap.seed_alloc(),
         }
     }
 
@@ -184,6 +190,7 @@ mod tests {
             assert_eq!(r.alloc_for(1234).await, Some(1234));
             r.release(1234).await;
         });
+        assert_eq!(ra.seed_for(77), Some(77));
         assert_eq!(sim.run().as_nanos(), 0, "no virtual time consumed");
         assert!(!ra.is_synchronized());
     }
@@ -198,6 +205,7 @@ mod tests {
             assert_eq!(slot, 0, "bitmap slot, not the direct rpn");
             r.release(slot).await;
         });
+        assert_eq!(ra.seed_for(999), Some(0), "seeding reuses the freed slot");
         assert!(ra.is_synchronized());
     }
 }

@@ -48,11 +48,10 @@ pub use mage_workloads as workloads;
 /// The most common imports for running experiments.
 pub mod prelude {
     pub use mage::{
-        Access, ApproxLru, BackendKind, Clock, CostModel, EvictionPolicy, EvictionPolicyKind,
-        FarBackend, FarMemory, FaultError, Fifo, IdealModel, MachineParams, MetricsRegistry,
-        MetricsSnapshot, MetricsWindow, OsProfile, PrefetchPolicy, RdmaBackend, ReplicaState,
-        ReplicatedBackend, ReplicationConfig, ReplicationStats, RetryPolicy, S3Fifo, SecondChance,
-        SystemConfig, TransferOp,
+        Access, ApproxLru, Clock, CostModel, EvictionPolicy, EvictionPolicyKind, FarBackend,
+        FarMemory, FaultError, Fifo, IdealModel, MachineParams, MetricsRegistry, MetricsSnapshot,
+        MetricsWindow, OsProfile, PrefetchPolicy, ReplicaState, ReplicationConfig,
+        ReplicationStats, RetryPolicy, S3Fifo, SecondChance, SystemConfig, TransferOp,
     };
     pub use mage_fabric::{FaultPlan, TransferError};
     pub use mage_mmu::{CoreId, Topology};

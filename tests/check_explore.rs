@@ -130,7 +130,7 @@ fn broken_settlement_is_caught_and_shrunk() {
 
 /// Replicated cells survive exploration: the same oracles (plus the
 /// replica-coverage and replica-transition invariants) hold when every
-/// cell runs on a two-node [`ReplicatedBackend`] under staggered node
+/// cell runs on a two-node replicated backend under staggered node
 /// crashes and schedule perturbation.
 #[test]
 fn replicated_cells_survive_exploration() {

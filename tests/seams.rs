@@ -1,11 +1,11 @@
-//! Integration tests for the pluggable trait seams: every
-//! [`EvictionPolicy`] implementation and every [`FarBackend`]
-//! implementation must run the full engine end-to-end while preserving
-//! the safety invariants the default configuration guarantees.
+//! Integration tests for the engine's seams: every [`EvictionPolicy`]
+//! implementation (the one trait seam) and both remote-slot placements of
+//! the far-memory backend must run the full engine end-to-end while
+//! preserving the safety invariants the default configuration
+//! guarantees.
 
 use std::rc::Rc;
 
-use mage_far_memory::engine::backend::{FarBackend, LocalBoxFuture, RdmaBackend};
 use mage_far_memory::engine::reclaim::EvictionPolicy;
 use mage_far_memory::engine::RemoteAllocKind;
 use mage_far_memory::mmu::{PageTable, Topology, Vma};
@@ -134,13 +134,12 @@ fn policy_swap_conserves_accesses() {
     assert_eq!(totals[0], totals[1], "access count is policy-independent");
 }
 
-/// The shipped RDMA backend drives the engine end-to-end through the
-/// backend seam.
+/// The RDMA backend drives the engine end-to-end with the safety
+/// invariants intact.
 #[test]
 fn backend_swap_preserves_invariants() {
-    let system = SystemConfig::mage_lib().with_backend_kind(BackendKind::Rdma);
+    let system = SystemConfig::mage_lib();
     let (sim, engine, vma) = launch(system, 33);
-    assert_eq!(engine.backend().name(), "rdma");
     churn(&sim, &engine, &vma);
     assert_safe(&engine, &vma, "rdma");
 }
@@ -189,58 +188,6 @@ fn swap_slots_rewrite_clean_pages() {
         writebacks[1] > writebacks[0],
         "swap slots must write back more: {writebacks:?}"
     );
-}
-
-/// A user-supplied backend plugs in through `BackendKind::Custom` with no
-/// engine edits: here, an RDMA backend wrapped with a transfer counter.
-#[test]
-fn custom_backend_plugs_in() {
-    struct CountingBackend {
-        inner: RdmaBackend,
-    }
-
-    impl FarBackend for CountingBackend {
-        fn name(&self) -> &'static str {
-            "counting"
-        }
-        fn read_page(&self, bytes: u64) -> mage_far_memory::fabric::Completion {
-            self.inner.read_page(bytes)
-        }
-        fn write_page(&self, bytes: u64) -> mage_far_memory::fabric::Completion {
-            self.inner.write_page(bytes)
-        }
-        fn alloc_slot<'a>(&'a self, direct_rpn: u64) -> LocalBoxFuture<'a, Option<u64>> {
-            self.inner.alloc_slot(direct_rpn)
-        }
-        fn release_slot<'a>(&'a self, rpn: u64) -> LocalBoxFuture<'a, ()> {
-            self.inner.release_slot(rpn)
-        }
-        fn seed_slot(&self, direct_rpn: u64) -> Option<u64> {
-            self.inner.seed_slot(direct_rpn)
-        }
-        fn writes_clean_pages(&self) -> bool {
-            self.inner.writes_clean_pages()
-        }
-        fn link(&self) -> &Rc<mage_far_memory::fabric::Nic> {
-            self.inner.link()
-        }
-        fn node(&self) -> &mage_far_memory::fabric::MemoryNode {
-            self.inner.node()
-        }
-    }
-
-    let system = SystemConfig::mage_lib().with_backend_kind(BackendKind::Custom {
-        name: "counting",
-        build: |sim, cfg, remote_pages| {
-            Box::new(CountingBackend {
-                inner: RdmaBackend::new(sim, cfg, remote_pages),
-            })
-        },
-    });
-    let (sim, engine, vma) = launch(system, 9);
-    assert_eq!(engine.backend().name(), "counting");
-    churn(&sim, &engine, &vma);
-    assert!(engine.nic().stats().reads.get() > 0, "reads flowed through");
 }
 
 /// Pinned golden schedules. The first two rows were captured before the
